@@ -46,20 +46,6 @@ func (o Observe) spanLimit() int {
 // enabled reports whether any sink is attached.
 func (o Observe) enabled() bool { return o.Registry != nil || o.Tracer != nil }
 
-// RunFigure4Stream is RunFigure4 without ever materializing the trace: each
-// RPM step re-streams the workload from its seed (the generator is
-// deterministic, so every speed replays the identical request sequence) and
-// summarises completions with the O(1) accumulators in internal/stats.
-// Memory stays constant in the request count, so the paper's sweep runs on
-// traces far past what a collected slice would hold.
-//
-// MeanMillis and the bucketed CDF match the batch runner exactly (same
-// additions in the same order; bucket membership is exact). P95Millis is a
-// P² estimate rather than the exact order statistic.
-func RunFigure4Stream(p trace.Params) (WorkloadResult, error) {
-	return RunFigure4StepsStream(p, Figure4Steps(p.BaselineRPM), 0)
-}
-
 // RunFigure4StepsStream runs an explicit RPM sweep on the streaming path.
 // Each step is fully self-contained — its own engine, its own volume, its
 // own lazy re-streaming of the seeded trace — so the steps fan out over the

@@ -266,9 +266,6 @@ func (d *Disk) Delay(until time.Duration) {
 	}
 }
 
-// HeadCylinder returns the current actuator position.
-func (d *Disk) HeadCylinder() int { return d.headCyl }
-
 // Served returns how many requests the disk has serviced.
 func (d *Disk) Served() int64 { return d.served }
 

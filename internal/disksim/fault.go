@@ -72,16 +72,6 @@ func (d *Disk) Remapped() int64 { return int64(len(d.remaps)) }
 // SparePool returns how many spare sectors remain unallocated.
 func (d *Disk) SparePool() int64 { return d.sparePool - int64(len(d.remaps)) }
 
-// GrownDefects returns the remapped LBNs (the grown-defect list) in no
-// particular order.
-func (d *Disk) GrownDefects() []int64 {
-	out := make([]int64, 0, len(d.remaps))
-	for lbn := range d.remaps {
-		out = append(out, lbn)
-	}
-	return out
-}
-
 // fail marks the disk dead and returns the wrapped sentinel.
 func (d *Disk) fail(at time.Duration, why string) error {
 	d.failed = true

@@ -107,25 +107,6 @@ func sortedByArrival(reqs []Request) []Request {
 	return sorted
 }
 
-// ReadySource adapts a request source so each yielded request's arrival is
-// clamped to at least the previous yield — a guard for hand-built sources
-// that are only approximately sorted. Exactly-sorted sources pass through
-// untouched.
-func ReadySource(src sim.Source[Request]) sim.Source[Request] {
-	var floor time.Duration
-	return sim.SourceFunc[Request](func() (Request, bool) {
-		r, ok := src.Next()
-		if !ok {
-			return r, false
-		}
-		if r.Arrival < floor {
-			r.Arrival = floor
-		}
-		floor = r.Arrival
-		return r, true
-	})
-}
-
 // StreamStats is a Sink that summarises completions without retaining them:
 // the O(1)-memory counterpart of collecting into a slice.
 type StreamStats struct {

@@ -17,9 +17,6 @@ type Attr struct {
 	Value string `json:"v"`
 }
 
-// AttrStr builds a string annotation.
-func AttrStr(k, v string) Attr { return Attr{Key: k, Value: v} }
-
 // AttrInt builds an integer annotation.
 func AttrInt(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatInt(v, 10)} }
 

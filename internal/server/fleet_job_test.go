@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
 )
 
 // smallFleetSpec is a fleet just big enough to stream several rack lines:
@@ -179,28 +181,23 @@ func TestFleetCrashResumeByteIdentity(t *testing.T) {
 	cfg := testConfig()
 	cfg.JournalDir = t.TempDir()
 	cfg.Workers = 1
+	// The crash lands once two rack checkpoints are durable: the journal
+	// stops dead there while the job runs on in memory, so the restart must
+	// resume it from exactly those two racks.
+	c := chaos.New(1)
+	c.On("job.checkpoint", 2)
+	cfg.Chaos = c
 	s1 := mustNew(t, cfg)
 
 	w, info := submitAsync(t, s1, body, "fleet-crash-key")
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d", w.Code)
 	}
-	j, _ := s1.lookup(info.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		durable := j.journaled
-		j.mu.Unlock()
-		if durable >= 2 {
-			break // at least two rack checkpoints are on disk; crash now
-		}
-		if st, _ := j.snapshot(); st.terminal() {
-			t.Fatal("fleet job finished before the crash landed; raise the rack count")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no rack checkpoint ever landed")
-		}
-		time.Sleep(time.Millisecond)
+	if st := waitStatus(t, s1, info.ID); st != StatusDone {
+		t.Fatalf("crashed-journal fleet job = %q", st)
+	}
+	if n := c.Fired("job.checkpoint"); n != 1 {
+		t.Fatalf("crash point fired %d times, want 1: the job wrote fewer than two checkpoints", n)
 	}
 	s1.Crash()
 

@@ -254,6 +254,11 @@ func (s *Server) journalCheckpoint(j *job) {
 		return
 	}
 	j.confirmJournaled(len(lines))
+	// A deterministic crash point for the resume tests: a kill -9 right
+	// after this checkpoint became durable, so nothing later is journaled.
+	if s.cfg.Chaos.Fire("job.checkpoint") {
+		s.crashed.Store(true)
+	}
 }
 
 // journalFinish flushes any remaining result lines (including the in-band

@@ -8,14 +8,14 @@ import (
 	"repro/internal/units"
 )
 
-// Operating-point memoization. The DTM stream controllers advance a drive's
-// transient in 100 ms sub-steps, and every sub-step re-evaluates the five
-// convection couplings at the drive's current spindle speed — the identical
-// Reynolds/Nusselt arithmetic, thousands of times per run, at the handful of
-// RPM levels the policy actually uses. Likewise the sweep engines re-solve
-// SteadyState at a few recurring (RPM, duty, ambient) points. Both solves
-// are pure functions of the operating point (with fixed-property air), so
-// the model memoizes them.
+// Operating-point memoization. The sweep engines re-solve SteadyState at a
+// few recurring (RPM, duty, ambient) points, and every transient needs the
+// five convection couplings at the handful of RPM levels its policy uses —
+// the identical Reynolds/Nusselt arithmetic each time. Both are pure
+// functions of the operating point (with fixed-property air), so the model
+// memoizes them. A transient keeps the couplings it builds into its own
+// per-speed step kernel (network.go), so it consults the shared conductance
+// map once per RPM change, not once per 100 ms step.
 //
 // Keys are the operating point quantized to fixed-point buckets
 // (rpmQuantum / dutyQuantum / tempQuantum below). Quantization alone could
@@ -85,10 +85,12 @@ type modelCache struct {
 }
 
 // CacheStats reports the memo cache's hit/miss counters since the model was
-// built (or the last ResetCacheStats).
+// built (or the last ResetCacheStats). The conductance counters count
+// lookups, not sub-steps: one per step-kernel build (a transient's first
+// step and each change of its RPM) plus one per uncached steady solve.
 type CacheStats struct {
 	SteadyHits, SteadyMisses int64 // SteadyState solves
-	CondHits, CondMisses     int64 // conductance evaluations (transient sub-steps)
+	CondHits, CondMisses     int64 // conductance lookups (kernel builds, steady solves)
 }
 
 // SteadyHitRate returns the steady-solve hit fraction (0 when never queried).
@@ -99,7 +101,7 @@ func (s CacheStats) SteadyHitRate() float64 {
 	return 0
 }
 
-// CondHitRate returns the conductance-evaluation hit fraction.
+// CondHitRate returns the conductance-lookup hit fraction.
 func (s CacheStats) CondHitRate() float64 {
 	if n := s.CondHits + s.CondMisses; n > 0 {
 		return float64(s.CondHits) / float64(n)

@@ -51,41 +51,142 @@ func TestSteadyStateCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestTransientCacheEquivalence runs the same transient trajectory on a
-// cached and an uncached model: the conductance memoization must not
-// perturb a single sub-step.
+// TestTransientCacheEquivalence runs the same transient trajectories on a
+// cached and an uncached (NoCache) model: the per-speed step kernel and the
+// conductance memoization must not perturb a single sub-step, whatever in
+// the load changes between calls.
 func TestTransientCacheEquivalence(t *testing.T) {
-	cached, err := New(ReferenceDrive)
-	if err != nil {
-		t.Fatal(err)
+	// One call on a transient: Advance(load, d), or, with until set,
+	// AdvanceUntil(load, d, until).
+	type transientOp struct {
+		load  Load
+		d     time.Duration
+		until func(State) bool
 	}
-	direct, err := New(ReferenceDrive)
-	if err != nil {
-		t.Fatal(err)
+	at := func(rpm units.RPM, duty float64) Load {
+		return Load{RPM: rpm, VCMDuty: duty, Ambient: DefaultAmbient}
 	}
-	direct.NoCache = true
-
-	trC := cached.NewTransient(Uniform(DefaultAmbient))
-	trD := direct.NewTransient(Uniform(DefaultAmbient))
-	// Alternate between the handful of operating points a DTM controller
-	// visits: busy at speed, idle, throttled low speed.
-	loads := []Load{
-		{RPM: 15000, VCMDuty: 1, Ambient: DefaultAmbient},
-		{RPM: 15000, VCMDuty: 0, Ambient: DefaultAmbient},
-		{RPM: 9000, VCMDuty: 0, Ambient: DefaultAmbient},
-	}
-	for i := 0; i < 60; i++ {
-		load := loads[i%len(loads)]
-		trC.Advance(load, 750*time.Millisecond)
-		trD.Advance(load, 750*time.Millisecond)
-		if trC.State() != trD.State() {
-			t.Fatalf("step %d: cached %v != direct %v", i, trC.State(), trD.State())
+	cycle := func(n int, d time.Duration, loads ...Load) []transientOp {
+		ops := make([]transientOp, n)
+		for i := range ops {
+			ops[i] = transientOp{load: loads[i%len(loads)], d: d}
 		}
+		return ops
 	}
-	stats := cached.CacheStats()
-	if rate := stats.CondHitRate(); rate < 0.9 {
-		t.Errorf("DTM-style trajectory should hit the conductance cache >90%%, got %.1f%% (%+v)",
-			rate*100, stats)
+	// Two speeds inside one conductance-cache bucket: a kernel keyed on the
+	// quantized RPM would hand one the other's couplings.
+	const near = units.RPM(24534)
+	alias := near + units.RPM(rpmQuantum/8)
+	if quantize(float64(near), rpmQuantum) != quantize(float64(alias), rpmQuantum) {
+		t.Fatal("test premise broken: the two speeds landed in different buckets")
+	}
+	hot := func(s State) bool { return s.Air >= 40 }
+	cool := func(s State) bool { return s.Air <= 36 }
+	cases := []struct {
+		name string
+		tda  bool // TemperatureDependentAir on both models
+		ops  []transientOp
+	}{
+		// The handful of operating points a DTM controller visits: busy at
+		// speed, idle, throttled low speed.
+		{"busy-idle-throttled", false, cycle(60, 750*time.Millisecond,
+			at(15000, 1), at(15000, 0), at(9000, 0))},
+		// RPM steps mid-trajectory, down to the offline load's RPM 0.
+		{"rpm-steps-and-offline", false, cycle(48, 40*time.Millisecond,
+			at(24534, 1), at(24534, 0), at(15020, 1), at(0, 0), at(15020, 0), at(24534, 1))},
+		{"rpm-quantum-alias", false, cycle(40, 30*time.Millisecond, at(near, 1), at(alias, 1))},
+		// Seek-fraction duties (SeekDuty, fleet) and the clamped range.
+		{"fractional-and-out-of-range-duty", false, cycle(36, 20*time.Millisecond,
+			at(24534, 0.37), at(24534, 0.2718), at(24534, -0.25), at(24534, 1.5), at(24534, 0), at(24534, 1))},
+		// A cooling-failure window: new ambients at an unchanged RPM.
+		{"ambient-change", false, cycle(8, 2*time.Second,
+			at(24534, 1), Load{RPM: 24534, VCMDuty: 1, Ambient: 40}, at(24534, 1), Load{RPM: 24534, VCMDuty: 1, Ambient: 16})},
+		// Spans below, at and above one 100 ms step.
+		{"advance-spans", false, []transientOp{
+			{load: at(24534, 1), d: time.Nanosecond},
+			{load: at(24534, 0), d: time.Millisecond},
+			{load: at(24534, 1), d: 99 * time.Millisecond},
+			{load: at(15020, 1), d: 100 * time.Millisecond},
+			{load: at(15020, 0), d: 101 * time.Millisecond},
+			{load: at(24534, 1), d: 250 * time.Millisecond},
+			{load: at(24534, 0), d: 3 * time.Second},
+			{load: at(24534, 1), d: 2*time.Minute + 7*time.Millisecond},
+		}},
+		{"advance-until", false, []transientOp{
+			{load: at(24534, 1), d: time.Hour, until: hot},
+			{load: at(24534, 1), d: time.Hour, until: hot}, // already true
+			{load: at(15020, 0), d: time.Hour, until: cool},
+			{load: at(15020, 0), d: 2 * time.Second, until: func(s State) bool { return s.Air > 1000 }},
+			{load: at(24534, 1), d: 10 * time.Millisecond},
+		}},
+		// Film-temperature air keeps the uncached per-step solve; it must
+		// match its NoCache twin while the film warms.
+		{"temperature-dependent-air", true, cycle(60, 750*time.Millisecond,
+			at(24534, 1), at(24534, 0), at(15020, 0.5))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cached, err := New(ReferenceDrive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := New(ReferenceDrive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct.NoCache = true
+			cached.TemperatureDependentAir = c.tda
+			direct.TemperatureDependentAir = c.tda
+
+			trC := cached.NewTransient(Uniform(DefaultAmbient))
+			trD := direct.NewTransient(Uniform(DefaultAmbient))
+			for i, op := range c.ops {
+				if op.until == nil {
+					trC.Advance(op.load, op.d)
+					trD.Advance(op.load, op.d)
+				} else {
+					eC, okC := trC.AdvanceUntil(op.load, op.d, op.until)
+					eD, okD := trD.AdvanceUntil(op.load, op.d, op.until)
+					if eC != eD || okC != okD {
+						t.Fatalf("op %d: AdvanceUntil cached (%v, %v) != direct (%v, %v)", i, eC, okC, eD, okD)
+					}
+				}
+				if trC.State() != trD.State() || trC.Now() != trD.Now() {
+					t.Fatalf("op %d (%+v for %v): cached %v at %v != direct %v at %v",
+						i, op.load, op.d, trC.State(), trC.Now(), trD.State(), trD.Now())
+				}
+			}
+		})
+	}
+}
+
+// TestCondStatsCountKernelBuilds pins what the conductance counters count:
+// one lookup per step-kernel build (one per RPM change per transient) plus
+// one per uncached steady solve, however many sub-steps run in between.
+func TestCondStatsCountKernelBuilds(t *testing.T) {
+	m, err := New(ReferenceDrive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.NewTransient(Uniform(DefaultAmbient))
+	for i := 0; i < 1000; i++ {
+		rpm := units.RPM(24534)
+		if i == 500 {
+			rpm = 15020
+		}
+		tr.Advance(Load{RPM: rpm, VCMDuty: float64(i & 1), Ambient: DefaultAmbient}, 3*time.Millisecond)
+	}
+	// Builds at 24534 (miss), 15020 (miss) and 24534 again (hit).
+	if s := m.CacheStats(); s.CondHits != 1 || s.CondMisses != 2 {
+		t.Errorf("one transient, two RPM changes: %+v, want 1 cond hit, 2 misses", s)
+	}
+	// A new transient builds its own kernel from the model's shared cache.
+	m.NewTransient(Uniform(DefaultAmbient)).Advance(WorstCase(15020), time.Minute)
+	// A steady solve looks the couplings up once; its memoized repeat not at all.
+	m.SteadyState(WorstCase(9000))
+	m.SteadyState(WorstCase(9000))
+	if s := m.CacheStats(); s.CondHits != 2 || s.CondMisses != 3 {
+		t.Errorf("after a second transient and a steady solve: %+v, want 2 cond hits, 3 misses", s)
 	}
 }
 

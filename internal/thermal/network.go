@@ -67,6 +67,7 @@ type Model struct {
 	cache modelCache
 
 	// Precomputed geometry.
+	vcmPower     float64 // W, VCMPower of the platter size
 	platterArea  float64 // m^2, air-washed stack area
 	actuatorArea float64 // m^2, air-washed arm area
 	enclosureIn  float64 // m^2, internal casting area washed by drive air
@@ -98,6 +99,7 @@ func NewWithCalibration(d geometry.Drive, cal Calibration) (*Model, error) {
 		cal:        cal,
 		airPropsAt: 40,
 	}
+	m.vcmPower = float64(VCMPower(d.PlatterDiameter))
 	m.platterArea = d.PlatterWettedArea()
 	m.actuatorArea = d.ActuatorWettedArea()
 	m.enclosureOut = d.EnclosureArea()
@@ -207,19 +209,47 @@ func (m *Model) conductancesAt(rpm units.RPM, film units.Celsius) conductances {
 // second-granularity throttling dynamics (Figure 7) could not exist.
 const VCMAirFraction = 0.7
 
+// kernel is the part of a network step that depends only on the spindle
+// speed: the couplings, the windage and bearing losses, and the explicit
+// scheme's stability bound. With fixed-property air it is a pure function of
+// the RPM, so a transient builds it once per speed change (see step).
+type kernel struct {
+	rpm     units.RPM
+	g       conductances
+	windage units.Watts // into the air node
+	bearing units.Watts // into the spindle node
+	stable  float64     // s, largest stable explicit sub-step
+}
+
+// kernelAt builds the kernel at a spindle speed; film matters only with
+// TemperatureDependentAir.
+func (m *Model) kernelAt(rpm units.RPM, film units.Celsius) kernel {
+	g := m.condCached(rpm, film)
+	return kernel{
+		rpm:     rpm,
+		g:       g,
+		windage: ViscousDissipation(rpm, m.drive.PlatterDiameter, m.drive.Platters),
+		bearing: BearingLoss(rpm, m.drive.PlatterDiameter),
+		// Stability bound: dt < C_i / sum(G_i) for every node; use half.
+		stable: math.Min(
+			math.Min(m.cAir/(g.spindleAir+g.actuatorAir+g.airBase),
+				m.cSpindle/(g.spindleAir+g.spindleBase)),
+			math.Min(m.cBase/(g.airBase+g.spindleBase+g.actuatorBase+g.baseAmbient),
+				m.cActuator/(g.actuatorAir+g.actuatorBase)),
+		) * 0.5,
+	}
+}
+
 // heatInputs returns the source power into the air, spindle and actuator
-// nodes.
-func (m *Model) heatInputs(load Load) (pAir, pSpindle, pActuator units.Watts) {
-	duty := load.VCMDuty
+// nodes at the kernel's speed and the given VCM duty.
+func (m *Model) heatInputs(k *kernel, duty float64) (pAir, pSpindle, pActuator units.Watts) {
 	if duty < 0 {
 		duty = 0
 	} else if duty > 1 {
 		duty = 1
 	}
-	vcm := duty * float64(VCMPower(m.drive.PlatterDiameter))
-	pAir = ViscousDissipation(load.RPM, m.drive.PlatterDiameter, m.drive.Platters) +
-		units.Watts(VCMAirFraction*vcm)
-	return pAir, BearingLoss(load.RPM, m.drive.PlatterDiameter), units.Watts((1 - VCMAirFraction) * vcm)
+	vcm := duty * m.vcmPower
+	return k.windage + units.Watts(VCMAirFraction*vcm), k.bearing, units.Watts((1 - VCMAirFraction) * vcm)
 }
 
 // SteadyState solves the network for the equilibrium temperatures under a
@@ -251,8 +281,9 @@ func (m *Model) steadyDirect(load Load) State {
 // solveLinear solves the 4-node steady heat balance by Gaussian elimination.
 // Node order: air, spindle, base, actuator.
 func (m *Model) solveLinear(load Load, film units.Celsius) State {
-	g := m.condCached(load.RPM, film)
-	pAir, pSpm, pAct := m.heatInputs(load)
+	k := m.kernelAt(load.RPM, film)
+	g := &k.g
+	pAir, pSpm, pAct := m.heatInputs(&k, load.VCMDuty)
 	amb := float64(load.Ambient)
 
 	// A*T = b
@@ -370,6 +401,11 @@ type Transient struct {
 	m     *Model
 	state State
 	now   time.Duration
+
+	// k is the step kernel at k.rpm, valid once built; step rebuilds it only
+	// when the load's RPM changes.
+	k      kernel
+	kBuilt bool
 }
 
 // NewTransient starts a transient simulation from an initial state.
@@ -382,10 +418,6 @@ func (t *Transient) State() State { return t.state }
 
 // Now returns the simulated time elapsed.
 func (t *Transient) Now() time.Duration { return t.now }
-
-// SetState overrides the node temperatures (used to start experiments at the
-// envelope).
-func (t *Transient) SetState(s State) { t.state = s }
 
 // Advance integrates the model forward by d under a constant load.
 func (t *Transient) Advance(load Load, d time.Duration) {
@@ -421,21 +453,21 @@ func (t *Transient) AdvanceUntil(load Load, limit time.Duration, cond func(State
 func (t *Transient) step(load Load, maxDT float64) float64 {
 	m := t.m
 	film := (t.state.Air + load.Ambient) / 2
-	g := m.condCached(load.RPM, film)
-	pAir, pSpm, pAct := m.heatInputs(load)
+	k := &t.k
+	if m.TemperatureDependentAir || m.NoCache {
+		// The uncached per-step solve, which film-dependent couplings need.
+		direct := m.kernelAt(load.RPM, film)
+		k = &direct
+	} else if !t.kBuilt || k.rpm != load.RPM {
+		*k, t.kBuilt = m.kernelAt(load.RPM, film), true
+	}
+	g := &k.g
+	pAir, pSpm, pAct := m.heatInputs(k, load.VCMDuty)
 	amb := float64(load.Ambient)
-
-	// Stability bound: dt < C_i / sum(G_i) for every node; use half.
-	stable := math.Min(
-		math.Min(m.cAir/(g.spindleAir+g.actuatorAir+g.airBase),
-			m.cSpindle/(g.spindleAir+g.spindleBase)),
-		math.Min(m.cBase/(g.airBase+g.spindleBase+g.actuatorBase+g.baseAmbient),
-			m.cActuator/(g.actuatorAir+g.actuatorBase)),
-	) * 0.5
 
 	remaining := maxDT
 	for remaining > 1e-12 {
-		dt := math.Min(remaining, stable)
+		dt := math.Min(remaining, k.stable)
 		s := &t.state
 		ta, ts, tb, tv := float64(s.Air), float64(s.Spindle), float64(s.Base), float64(s.Actuator)
 

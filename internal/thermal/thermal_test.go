@@ -403,19 +403,25 @@ func TestNewRejectsBadInput(t *testing.T) {
 }
 
 func TestSteadyStateEnergyBalance(t *testing.T) {
-	// At steady state, heat in == heat out to ambient (through the base).
+	// At steady state, heat in (pAir + pSpm + pAct) == heat out to ambient
+	// through the base, across speeds, VCM duties and both ambients.
 	m := refModel(t)
-	f := func(raw uint16) bool {
-		rpm := units.RPM(10000 + int(raw)%50000)
-		load := WorstCase(rpm)
+	f := func(raw uint16, duty uint8, cooled bool) bool {
+		load := Load{RPM: units.RPM(10000 + int(raw)%50000), VCMDuty: float64(duty) / 255, Ambient: DefaultAmbient}
+		if cooled {
+			load.Ambient -= 10
+		}
 		st := m.SteadyState(load)
-		pIn := float64(ViscousDissipation(rpm, 2.6, 1)) + float64(VCMPower(2.6)) +
-			float64(BearingLoss(rpm, 2.6))
-		g := m.conductancesAt(rpm, 40)
-		pOut := g.baseAmbient * float64(st.Base-load.Ambient)
-		return math.Abs(pIn-pOut) < 1e-6*math.Max(1, pIn)
+		n := newLinearNetwork(m, load)
+		pIn := n.b[0] + n.b[1] + n.b[3]
+		pOut := m.conductancesAt(load.RPM, m.airPropsAt).baseAmbient * float64(st.Base-load.Ambient)
+		if math.Abs(pIn-pOut) > 1e-9*pIn {
+			t.Logf("%+v: in %.12g W, out %.12g W", load, pIn, pOut)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
