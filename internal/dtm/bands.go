@@ -102,6 +102,15 @@ type flapTracker struct {
 	flaps       int
 }
 
+// newFlapTracker returns a tracker with the given re-arm window
+// (0 = defaultFlapWindow).
+func newFlapTracker(window time.Duration) flapTracker {
+	if window == 0 {
+		window = defaultFlapWindow
+	}
+	return flapTracker{window: window}
+}
+
 // engage marks a stage engagement at the given sim time.
 func (f *flapTracker) engage(at time.Duration) {
 	if f.seen && at-f.lastRelease <= f.window {

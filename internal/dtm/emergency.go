@@ -189,27 +189,6 @@ func (e *Escalation) stageLines() (stepEngage, stepRelease, thrEngage, thrReleas
 	return
 }
 
-func (e *Escalation) flapWindow() time.Duration {
-	if e.FlapWindow == 0 {
-		return defaultFlapWindow
-	}
-	return e.FlapWindow
-}
-
-func (e *Escalation) ambientTemp() units.Celsius {
-	if e.Ambient == 0 {
-		return thermal.DefaultAmbient
-	}
-	return e.Ambient
-}
-
-func (e *Escalation) spinTransition() time.Duration {
-	if e.SpinTransition == 0 {
-		return 2 * time.Second
-	}
-	return e.SpinTransition
-}
-
 // offlineCoolLimit caps one spin-down cooling excursion.
 const offlineCoolLimit = 30 * time.Minute
 
