@@ -3,7 +3,8 @@
 // regime) result in enumeration order, then a single "summary" line — the
 // same stream shape the simd tournament job serves over HTTP. Output is
 // byte-identical at every -workers value (the tournament determinism
-// contract), which is what lets CI pin the bracket as a golden artifact.
+// contract), which is what lets the golden test pin the bracket as an
+// artifact.
 // With -table, a human-readable scoreboard is printed instead.
 package main
 
@@ -12,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -44,7 +46,7 @@ func main() {
 		LoadScale: *loadScale,
 		Workers:   *workers,
 	}
-	if err := run(cfg, *table); err != nil {
+	if err := run(os.Stdout, cfg, *table); err != nil {
 		fmt.Fprintln(os.Stderr, "dtmtour:", err)
 		os.Exit(1)
 	}
@@ -73,14 +75,16 @@ type summaryLine struct {
 	tournament.Summary
 }
 
-func run(cfg tournament.Config, table bool) error {
+// run plays the bracket and writes it to w: NDJSON, or with table the
+// scoreboard.
+func run(w io.Writer, cfg tournament.Config, table bool) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 
 	if table {
-		return runTable(ctx, cfg)
+		return runTable(ctx, w, cfg)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	sum, err := tournament.Run(ctx, cfg, func(c tournament.Cell) error {
 		return enc.Encode(cellLine{Kind: "cell", Cell: c})
 	})
@@ -90,8 +94,8 @@ func run(cfg tournament.Config, table bool) error {
 	return enc.Encode(summaryLine{Kind: "summary", Summary: sum})
 }
 
-func runTable(ctx context.Context, cfg tournament.Config) error {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func runTable(ctx context.Context, w io.Writer, cfg tournament.Config) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "WORKLOAD\tREGIME\tPOLICY\tMEAN ms\tP95 ms\tMAX °C\tOVER ms\tEVENTS\tFLAPS\tSCORE")
 	sum, err := tournament.Run(ctx, cfg, func(c tournament.Cell) error {
 		failed := ""
@@ -115,6 +119,6 @@ func runTable(ctx context.Context, cfg tournament.Config) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("\noverall: %s († = drive failed)\n", sum.Overall)
-	return nil
+	_, err = fmt.Fprintf(w, "\noverall: %s († = drive failed)\n", sum.Overall)
+	return err
 }
