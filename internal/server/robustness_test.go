@@ -362,10 +362,11 @@ func TestJournalFailureUnblocksAttacher(t *testing.T) {
 // TestCrashResumeByteIdentity is the tentpole acceptance test: a job killed
 // mid-run (journaling stops dead, as under SIGKILL) resumes from its last
 // checkpoint after restart and produces NDJSON byte-identical to a run
-// that was never interrupted.
+// that was never interrupted. The watermark policy makes the resumed run
+// cross the DTM control loop, not just the bare disk.
 func TestCrashResumeByteIdentity(t *testing.T) {
 	// Reference: the same job on a journal-less server.
-	body := `{"type":"dtm","dtm":{"policy":"envelope","requests":100000,"sample_every":200}}`
+	body := `{"type":"dtm","dtm":{"policy":"watermark","requests":20000,"sample_every":200}}`
 	ref := mustNew(t, testConfig())
 	wr, infoRef := submitAsync(t, ref, body, "")
 	if wr.Code != http.StatusAccepted {
@@ -377,33 +378,27 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	want := getResult(t, ref, infoRef.ID)
 	ref.Shutdown(context.Background())
 
-	// Crash victim: checkpoint frequently so the kill lands mid-stream.
+	// Crash victim: checkpoint every 1000 completions (20 checkpoints),
+	// with the journal stopping dead after the fifth while the job runs on
+	// in memory, so the restart must resume it from exactly that prefix.
 	cfg := testConfig()
 	cfg.JournalDir = t.TempDir()
 	cfg.CheckpointEvery = 1000
 	cfg.Workers = 1
+	c := chaos.New(1)
+	c.On("job.checkpoint", 5)
+	cfg.Chaos = c
 	s1 := mustNew(t, cfg)
 
 	w, info := submitAsync(t, s1, body, "crash-key")
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d", w.Code)
 	}
-	j, _ := s1.lookup(info.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		durable := j.journaled
-		j.mu.Unlock()
-		if durable >= 5 {
-			break // a real prefix is on disk; crash now
-		}
-		if st, _ := j.snapshot(); st.terminal() {
-			t.Fatal("job finished before the crash landed; raise requests")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint ever landed")
-		}
-		time.Sleep(time.Millisecond)
+	if st := waitStatus(t, s1, info.ID); st != StatusDone {
+		t.Fatalf("crashed-journal job = %q", st)
+	}
+	if n := c.Fired("job.checkpoint"); n != 1 {
+		t.Fatalf("crash point fired %d times, want 1: the job wrote fewer than five checkpoints", n)
 	}
 	s1.Crash()
 

@@ -7,7 +7,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
+
+	"repro/internal/chaos"
 )
 
 // smallSurrogateTrainSpec is a grid just big enough to stream temp,
@@ -272,28 +273,22 @@ func TestSurrogateTrainCrashResumeByteIdentity(t *testing.T) {
 	cfg := testConfig()
 	cfg.JournalDir = t.TempDir()
 	cfg.Workers = 1
+	// The crash lands after the first cell-window checkpoint: the journal
+	// stops dead there while training runs on in memory.
+	c := chaos.New(1)
+	c.On("job.checkpoint", 1)
+	cfg.Chaos = c
 	s1 := mustNew(t, cfg)
 
 	w, info := submitAsync(t, s1, body, "surrogate-crash-key")
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d", w.Code)
 	}
-	j, _ := s1.lookup(info.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		durable := j.journaled
-		j.mu.Unlock()
-		if durable >= 1 {
-			break // at least one cell-window checkpoint is on disk; crash now
-		}
-		if st, _ := j.snapshot(); st.terminal() {
-			t.Fatal("training finished before the crash landed; raise the request count")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint ever landed")
-		}
-		time.Sleep(time.Millisecond)
+	if st := waitStatus(t, s1, info.ID); st != StatusDone {
+		t.Fatalf("crashed-journal training job = %q", st)
+	}
+	if n := c.Fired("job.checkpoint"); n != 1 {
+		t.Fatalf("crash point fired %d times, want 1", n)
 	}
 	s1.Crash()
 
@@ -301,6 +296,10 @@ func TestSurrogateTrainCrashResumeByteIdentity(t *testing.T) {
 	cfg2.JournalDir = cfg.JournalDir
 	s2 := mustNew(t, cfg2)
 	defer s2.Shutdown(context.Background())
+
+	if got := s2.met.jobsResumed.Value(); got != 1 {
+		t.Fatalf("jobsResumed = %d, want 1", got)
+	}
 
 	if st := waitStatus(t, s2, info.ID); st != StatusDone {
 		j2, _ := s2.lookup(info.ID)

@@ -7,7 +7,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
+
+	"repro/internal/chaos"
 )
 
 // smallTournamentSpec is a bracket just big enough to stream several cell
@@ -157,28 +158,22 @@ func TestTournamentCrashResumeByteIdentity(t *testing.T) {
 	cfg := testConfig()
 	cfg.JournalDir = t.TempDir()
 	cfg.Workers = 1
+	// The crash lands once two cell checkpoints are durable: the journal
+	// stops dead there while the bracket runs on in memory.
+	c := chaos.New(1)
+	c.On("job.checkpoint", 2)
+	cfg.Chaos = c
 	s1 := mustNew(t, cfg)
 
 	w, info := submitAsync(t, s1, body, "tournament-crash-key")
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d", w.Code)
 	}
-	j, _ := s1.lookup(info.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		durable := j.journaled
-		j.mu.Unlock()
-		if durable >= 2 {
-			break // at least two cell checkpoints are on disk; crash now
-		}
-		if st, _ := j.snapshot(); st.terminal() {
-			t.Fatal("tournament finished before the crash landed; raise the request count")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no cell checkpoint ever landed")
-		}
-		time.Sleep(time.Millisecond)
+	if st := waitStatus(t, s1, info.ID); st != StatusDone {
+		t.Fatalf("crashed-journal tournament job = %q", st)
+	}
+	if n := c.Fired("job.checkpoint"); n != 1 {
+		t.Fatalf("crash point fired %d times, want 1: the bracket wrote fewer than two checkpoints", n)
 	}
 	s1.Crash()
 
