@@ -8,7 +8,7 @@ import (
 	"repro/internal/units"
 )
 
-// Instruments is the DTM layer's metric handle set, shared by all four
+// Instruments is the DTM layer's metric handle set, shared by all five
 // controllers: the internal-air-temperature gauge the policies regulate,
 // its peak, and the counters for each control action (throttle episodes and
 // their accumulated pause time, spindle-speed transitions, emergency
