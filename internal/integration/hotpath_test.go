@@ -6,7 +6,7 @@
 // something to be checked against — and the whole comparison is fanned out
 // over the parallel pool at 1 and 8 workers (and run under -race in CI) to
 // pin that the digest of every workload/fault-regime combination is
-// identical at any worker count.
+// identical at any worker count and equal to its recorded constant.
 package integration
 
 import (
@@ -96,7 +96,7 @@ func runHotPathJob(j hotPathJob) (uint64, error) {
 // TestHotPathMatchesReferenceAcrossWorkers runs the full grid — all five
 // workloads under both fault regimes — through the optimized and reference
 // paths at 1 and 8 pool workers, and requires the per-cell digests to be
-// identical between worker counts.
+// identical between worker counts and equal to hotPathDigests.
 func TestHotPathMatchesReferenceAcrossWorkers(t *testing.T) {
 	var jobs []hotPathJob
 	for _, w := range trace.Workloads {
@@ -122,5 +122,26 @@ func TestHotPathMatchesReferenceAcrossWorkers(t *testing.T) {
 			t.Errorf("%s/%s: digest %016x at workers=1, %016x at workers=8",
 				jobs[i].workload.Name, jobs[i].regime, one[i], eight[i])
 		}
+		key := jobs[i].workload.Name + "/" + jobs[i].regime
+		if want := hotPathDigests[key]; one[i] != want {
+			t.Errorf("%s: digest %016x, pinned %016x", key, one[i], want)
+		}
 	}
+}
+
+// hotPathDigests pins every cell's digest. The reference path runs the same
+// Disk.Serve as the streaming path, so agreement between the two (and
+// between worker counts) cannot catch a disksim change that moves every
+// byte; these constants do.
+var hotPathDigests = map[string]uint64{
+	"HPL Openmail/clean":       0x6a3e3cb0ad8995cf,
+	"HPL Openmail/thermal":     0xb6a50a8f64d972cd,
+	"OLTP Application/clean":   0x6cf128c35ee68d40,
+	"OLTP Application/thermal": 0xd48487f9e97ee674,
+	"Search-Engine/clean":      0xa671130d95f3f369,
+	"Search-Engine/thermal":    0xb726a98ab80a43c1,
+	"TPC-C/clean":              0x74e060f6df66357d,
+	"TPC-C/thermal":            0xfd794852436960ad,
+	"TPC-H/clean":              0xccb2f3ae08dd6bfd,
+	"TPC-H/thermal":            0x6ae757cd75baf1d6,
 }
