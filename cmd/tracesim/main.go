@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -62,7 +63,7 @@ func main() {
 		os.Exit(1)
 	}
 	fi := faultInjection{disk: *failDisk, at: *failAt, rebuildMB: *rebuildMB, spare: !*noSpare}
-	err = run(*workload, *requests, *save, *analyze, *config, *exact, *workers, fi,
+	err = run(os.Stdout, *workload, *requests, *save, *analyze, *config, *exact, *workers, fi,
 		core.Observe{Registry: oc.Registry, Tracer: oc.Tracer})
 	stopFlush() // uninstall before the normal flush so the writers cannot race
 	if err == nil {
@@ -99,7 +100,7 @@ func dumpBuiltins(path string) error {
 	return f.Close()
 }
 
-func run(name string, requests int, save string, analyze bool, config string, exact bool, workers int, fi faultInjection, ob core.Observe) error {
+func run(out io.Writer, name string, requests int, save string, analyze bool, config string, exact bool, workers int, fi faultInjection, ob core.Observe) error {
 	workloads := trace.Workloads
 	if config != "" {
 		f, err := os.Open(config)
@@ -130,16 +131,16 @@ func run(name string, requests int, save string, analyze bool, config string, ex
 			w = w.WithRequests(requests)
 		}
 		if save != "" {
-			return saveTrace(w, save)
+			return saveTrace(out, w, save)
 		}
 		if analyze {
-			if err := analyzeTrace(w); err != nil {
+			if err := analyzeTrace(out, w); err != nil {
 				return err
 			}
 			continue
 		}
 		if fi.disk >= 0 {
-			if err := runDegraded(w, fi); err != nil {
+			if err := runDegraded(out, w, fi); err != nil {
 				return err
 			}
 			continue
@@ -159,9 +160,9 @@ func run(name string, requests int, save string, analyze bool, config string, ex
 		if err != nil {
 			return err
 		}
-		fmt.Print(core.FormatResult(res))
+		fmt.Fprint(out, core.FormatResult(res))
 		imp := res.Improvements()
-		fmt.Printf("  mean response improvement vs baseline: +%.1f%% +%.1f%% +%.1f%%\n\n",
+		fmt.Fprintf(out, "  mean response improvement vs baseline: +%.1f%% +%.1f%% +%.1f%%\n\n",
 			imp[0]*100, imp[1]*100, imp[2]*100)
 	}
 	return nil
@@ -171,7 +172,7 @@ func run(name string, requests int, save string, analyze bool, config string, ex
 // disk failed mid-run, servicing through the recovery engine: mirror reads
 // fail over, RAID-5 reads reconstruct from the survivors, and (with a
 // spare) the rebuild replays onto it while foreground service continues.
-func runDegraded(w trace.Params, fi faultInjection) error {
+func runDegraded(out io.Writer, w trace.Params, fi faultInjection) error {
 	vol, err := w.BuildVolume(w.BaselineRPM)
 	if err != nil {
 		return err
@@ -221,30 +222,30 @@ func runDegraded(w trace.Params, fi faultInjection) error {
 	}
 	rep := s.Report()
 
-	fmt.Printf("%s (%v, %d disks): disk %d fails at %v\n",
+	fmt.Fprintf(out, "%s (%v, %d disks): disk %d fails at %v\n",
 		w.Name, vol.Level(), len(vol.Disks()), fi.disk, fi.at)
-	fmt.Printf("  served %d/%d requests: %d degraded (mean %.2f ms) vs %d healthy (mean %.2f ms)\n",
+	fmt.Fprintf(out, "  served %d/%d requests: %d degraded (mean %.2f ms) vs %d healthy (mean %.2f ms)\n",
 		healthy.N()+degraded.N(), total, degraded.N(), degraded.Mean(),
 		healthy.N(), healthy.Mean())
 	if rep.LostRequests > 0 {
-		fmt.Printf("  %d requests LOST (no redundancy on %v)\n", rep.LostRequests, vol.Level())
+		fmt.Fprintf(out, "  %d requests LOST (no redundancy on %v)\n", rep.LostRequests, vol.Level())
 	}
-	fmt.Printf("  %d on-the-fly reconstructions, %d redundancy-exposed writes\n",
+	fmt.Fprintf(out, "  %d on-the-fly reconstructions, %d redundancy-exposed writes\n",
 		rep.Reconstructions, rep.ExposedWrites)
 	if rep.RebuildWindow > 0 {
-		fmt.Printf("  rebuild window %v at %.0f MB/s: double-failure risk %.2e, MTTDL %.0f h\n",
+		fmt.Fprintf(out, "  rebuild window %v at %.0f MB/s: double-failure risk %.2e, MTTDL %.0f h\n",
 			rep.RebuildWindow.Round(time.Second), fi.rebuildMB, rep.RebuildRisk, rep.MTTDL.Hours())
 	}
 	for _, e := range rep.Events {
-		fmt.Printf("  %12v  %v disk %d\n", e.Time.Round(time.Millisecond), e.Kind, e.Disk)
+		fmt.Fprintf(out, "  %12v  %v disk %d\n", e.Time.Round(time.Millisecond), e.Kind, e.Disk)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
 }
 
 // analyzeTrace prints the workload's section 5.1-style profile (the paper
 // quotes Openmail at 86% arm movement, 1,952 mean seek cylinders).
-func analyzeTrace(w trace.Params) error {
+func analyzeTrace(out io.Writer, w trace.Params) error {
 	vol, err := w.BuildVolume(w.BaselineRPM)
 	if err != nil {
 		return err
@@ -257,14 +258,14 @@ func analyzeTrace(w trace.Params) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-17s %8d reqs  %5.1f%% reads  mean %5.1f sectors  %6.0f req/s\n",
+	fmt.Fprintf(out, "%-17s %8d reqs  %5.1f%% reads  mean %5.1f sectors  %6.0f req/s\n",
 		w.Name, prof.Requests, prof.ReadFraction*100, prof.MeanSectors, prof.Rate)
-	fmt.Printf("%-17s %8d disk I/Os: %4.1f%% move the arm, mean seek %.0f cylinders\n\n",
+	fmt.Fprintf(out, "%-17s %8d disk I/Os: %4.1f%% move the arm, mean seek %.0f cylinders\n\n",
 		"", prof.DiskRequests, prof.ArmMoveFraction*100, prof.MeanSeekCylinders)
 	return nil
 }
 
-func saveTrace(w trace.Params, path string) error {
+func saveTrace(out io.Writer, w trace.Params, path string) error {
 	vol, err := w.BuildVolume(w.BaselineRPM)
 	if err != nil {
 		return err
@@ -281,6 +282,6 @@ func saveTrace(w trace.Params, path string) error {
 	if err := trace.Write(f, reqs); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d requests of %s to %s\n", len(reqs), w.Name, path)
+	fmt.Fprintf(out, "wrote %d requests of %s to %s\n", len(reqs), w.Name, path)
 	return f.Close()
 }
