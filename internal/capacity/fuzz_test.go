@@ -34,8 +34,19 @@ func FuzzLayout(f *testing.F) {
 				l.DeratedCapacity(), l.RawCapacity())
 		}
 		if l.TotalSectors() > 0 {
-			// First and last sectors must locate and round-trip.
-			for _, lbn := range []int64{0, l.TotalSectors() - 1, l.TotalSectors() / 2} {
+			// First and last sectors, and each non-empty zone's first and
+			// last LBN, must locate and round-trip.
+			lbns := []int64{0, l.TotalSectors() - 1, l.TotalSectors() / 2}
+			for i, z := range l.Zones {
+				end := l.TotalSectors()
+				if i+1 < len(l.Zones) {
+					end = l.Zones[i+1].FirstLBN
+				}
+				if end > z.FirstLBN {
+					lbns = append(lbns, z.FirstLBN, end-1)
+				}
+			}
+			for _, lbn := range lbns {
 				loc, err := l.Locate(lbn)
 				if err != nil {
 					t.Fatalf("Locate(%d): %v", lbn, err)
