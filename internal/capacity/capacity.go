@@ -135,6 +135,12 @@ type Layout struct {
 	Zones []Zone
 
 	totalSectors int64
+
+	// zoneAt indexes Zones by LBN for Locate: slot i holds the zone of
+	// LBN i<<zoneShift. It is an array, not a slice, so that New, which
+	// callers run once per candidate drive, allocates nothing for it.
+	zoneAt    [zoneSlots]int
+	zoneShift uint
 }
 
 // New derives the layout for a configuration.
@@ -199,7 +205,31 @@ func New(cfg Config) (*Layout, error) {
 		lbn += int64(tracksPerZone) * int64(l.Surfaces) * int64(spt)
 	}
 	l.totalSectors = lbn
+	l.indexZones()
 	return l, nil
+}
+
+// zoneSlots is the size of the zone index: several slots per zone at the
+// 30 and 50 zones the studies use, so Locate's forward step past a slot's
+// zone is rarely more than one. More zones than slots stay correct, with
+// longer steps.
+const zoneSlots = 256
+
+// indexZones builds zoneAt. Each slot holds the last zone whose FirstLBN is
+// at or before the slot's first LBN, the zone a binary search over Zones
+// finds, zero-sector zones included.
+func (l *Layout) indexZones() {
+	for (l.totalSectors-1)>>l.zoneShift >= zoneSlots {
+		l.zoneShift++
+	}
+	z := 0
+	for i := range l.zoneAt {
+		first := int64(i) << l.zoneShift
+		for z+1 < len(l.Zones) && l.Zones[z+1].FirstLBN <= first {
+			z++
+		}
+		l.zoneAt[i] = z
+	}
 }
 
 // Config returns the configuration the layout was derived from.
@@ -292,17 +322,13 @@ func (l *Layout) Locate(lbn int64) (Location, error) {
 	if lbn < 0 || lbn >= l.totalSectors {
 		return Location{}, fmt.Errorf("capacity: LBN %d outside [0,%d)", lbn, l.totalSectors)
 	}
-	// Binary search the zone table by FirstLBN.
-	lo, hi := 0, len(l.Zones)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if l.Zones[mid].FirstLBN <= lbn {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	// The last zone whose FirstLBN <= lbn: its slot's zone, or a later one
+	// when a zone boundary falls inside the slot. FirstLBN never decreases.
+	zi := l.zoneAt[lbn>>l.zoneShift]
+	for zi+1 < len(l.Zones) && l.Zones[zi+1].FirstLBN <= lbn {
+		zi++
 	}
-	z := &l.Zones[lo]
+	z := &l.Zones[zi]
 	rel := lbn - z.FirstLBN
 	perCyl := int64(l.Surfaces) * int64(z.SectorsPerTrack)
 	cyl := z.FirstCylinder + int(rel/perCyl)
