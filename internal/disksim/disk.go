@@ -286,7 +286,10 @@ func (d *Disk) period() time.Duration { return d.rev }
 // Serve services one request, starting no earlier than the request's arrival
 // or the disk's ready time. Callers are responsible for ordering (Simulate
 // applies the configured scheduler).
-func (d *Disk) Serve(r Request) (Completion, error) {
+//
+// The completion is built in the named result rather than in a local, so
+// the success paths return it without copying it.
+func (d *Disk) Serve(r Request) (c Completion, err error) {
 	if err := r.Validate(d.layout.TotalSectors()); err != nil {
 		return Completion{}, err
 	}
@@ -297,7 +300,8 @@ func (d *Disk) Serve(r Request) (Completion, error) {
 	if d.ready > start {
 		start = d.ready
 	}
-	c := Completion{Request: r, Start: start}
+	c.Request = r
+	c.Start = start
 	c.Parts.Queue = start - r.Arrival
 	c.Parts.Overhead = d.cfg.Overhead
 	t := start + d.cfg.Overhead

@@ -14,13 +14,16 @@ import (
 // its member-disk I/Os and services each in mapping order (each member's
 // FCFS queue advances independently; the slowest constituent determines the
 // finish). This is the event-loop unit of work — RunStream admits one Serve
-// per arrival event.
-func (v *Volume) Serve(r Request) (Completion, error) {
+// per arrival event. The completion is built in the named result, so it is
+// returned without a copy.
+func (v *Volume) Serve(r Request) (c Completion, err error) {
 	subs, err := v.mapRequest(r)
 	if err != nil {
 		return Completion{}, err
 	}
-	c := Completion{Request: r, SubRequests: len(subs), SlowestDisk: -1}
+	c.Request = r
+	c.SubRequests = len(subs)
+	c.SlowestDisk = -1
 	for _, sb := range subs {
 		comp, err := v.disks[sb.disk].Serve(sb.req)
 		if err != nil {
