@@ -211,17 +211,15 @@ func (l *loop) serve(e *sim.Engine, r disksim.Request) bool {
 // run services requests pulled lazily from src (nondecreasing arrival
 // order, FCFS) on eng, pushing each completion to sink. A positive sample
 // adds a periodic tick that advances the transient through idle gaps and
-// observes it. A context that can be cancelled gates admission: the run
-// ends at the next admission once ctx is done, and reports ctx.Err(). One
-// that never can (RunStream passes context.TODO) adds no per-request check.
+// observes it. ctx gates admission: the run ends at the next admission once
+// ctx is done, and reports ctx.Err(). One that never can be (RunStream
+// passes context.TODO) adds no per-request check (see sim.Gate).
 func (l *loop) run(ctx context.Context, eng *sim.Engine, src sim.Source[disksim.Request], sink sim.Sink[disksim.Completion], sample time.Duration) error {
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
 	l.eng, l.sink = eng, sink
-	if ctx.Done() != nil {
-		src = sim.Gate(ctx, src)
-	}
+	src = sim.Gate(ctx, src)
 	if f := l.faults; f != nil {
 		f.Temp = func(time.Duration) units.Celsius { return l.air() }
 		l.disk.SetFaults(f)

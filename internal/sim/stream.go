@@ -77,7 +77,13 @@ func Limit[T any](src Source[T], n int64) Source[T] {
 // next admission instead of after the whole trace. With a never-cancelled
 // context the wrapped source yields the identical sequence (one nil-error
 // check per item), so gating does not disturb the bit-identity contract.
+// A context that can never be cancelled (Done returns nil, as for
+// context.Background and context.TODO) returns src itself, so an
+// uncancellable run pays nothing per item.
 func Gate[T any](ctx context.Context, src Source[T]) Source[T] {
+	if ctx.Done() == nil {
+		return src
+	}
 	return SourceFunc[T](func() (T, bool) {
 		if ctx.Err() != nil {
 			var zero T
