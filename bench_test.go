@@ -286,6 +286,9 @@ func BenchmarkTransientMinute(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskServe times Disk.Serve back to back on a random 8-sector,
+// 30%-write stream. One op is 1,000 serves, so a small -benchtime times the
+// disk rather than the benchmark's timer.
 func BenchmarkDiskServe(b *testing.B) {
 	bpi, tpi := scaling.DefaultTrend().Densities(2002)
 	layout, err := capacity.New(capacity.Config{
@@ -299,22 +302,29 @@ func BenchmarkDiskServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reqs := syntheticStream(layout.TotalSectors(), 1024, 1e9)
+	const serves = 1000
+	reqs := syntheticStream(layout.TotalSectors(), serves, 1e9)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := reqs[i%len(reqs)]
-		r.Arrival = disk.ReadyTime()
-		if _, err := disk.Serve(r); err != nil {
-			b.Fatal(err)
+		for _, r := range reqs {
+			r.Arrival = disk.ReadyTime()
+			if _, err := disk.Serve(r); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*serves), "ns/serve")
 }
 
+// BenchmarkCapacityLayout times capacity.New for the Cheetah 15K.3's
+// 30-zone layout, which includes building Locate's zone index.
 func BenchmarkCapacityLayout(b *testing.B) {
 	cfg := capacity.Config{
 		Geometry: geometry.Drive{PlatterDiameter: 2.6, Platters: 4, FormFactor: geometry.FormFactor35},
 		BPI:      533000, TPI: 64000, Zones: 30,
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := capacity.New(cfg); err != nil {
 			b.Fatal(err)
@@ -322,8 +332,11 @@ func BenchmarkCapacityLayout(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGenerate times generating 10,000 HPL Openmail requests,
+// the trace draws of every replay.
 func BenchmarkTraceGenerate(b *testing.B) {
 	w := trace.Workloads[0].WithRequests(10000)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Generate(1 << 28); err != nil {
 			b.Fatal(err)
