@@ -69,8 +69,9 @@ func RunFigure4StepsStreamObs(p trace.Params, steps []units.RPM, workers int, ob
 // figure4Step runs one RPM cell of the streaming sweep: its own volume, its
 // own engine, its own lazy re-streaming of the seeded trace. The source is
 // gated on ctx, so a cancelled job stops at the next request admission; the
-// gate is one nil-error check per request when ctx never cancels, keeping
-// the un-cancelled path bit-identical to the historic one.
+// gate is one nil-error check per request when ctx can be cancelled and
+// none when it cannot, and either way the un-cancelled path is
+// bit-identical to the historic one.
 func figure4Step(ctx context.Context, p trace.Params, rpm units.RPM, ob Observe, tracer *obs.Tracer) (RPMStep, error) {
 	vol, err := p.BuildVolume(rpm)
 	if err != nil {
