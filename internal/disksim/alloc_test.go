@@ -3,8 +3,10 @@ package disksim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestEnabledInstrumentsServeAllocsNothing extends the obs package's
@@ -45,6 +47,34 @@ func TestEnabledInstrumentsServeAllocsNothing(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("instrumented Serve allocates %v per run, want 0", n)
+	}
+}
+
+// TestRunStreamAllocsNothingPerRequest pins RunStream's admission at zero
+// allocations per request: a run of 2N requests allocates exactly what a
+// run of N does, so everything the stream allocates is per run (the disk,
+// the engine, the admission state).
+func TestRunStreamAllocsNothingPerRequest(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			d := testDisk(t, 10000)
+			total := d.Layout().TotalSectors()
+			i := 0
+			src := sim.SourceFunc[Request](func() (Request, bool) {
+				if i == n {
+					return Request{}, false
+				}
+				i++
+				return Request{ID: int64(i), Arrival: time.Duration(i) * time.Millisecond,
+					LBN: int64(i) * 7919 % (total - 8), Sectors: 8, Write: i%3 == 0}, true
+			})
+			if err := d.RunStream(sim.NewEngine(), src, sim.Discard[Completion]()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n, n2 := allocs(500), allocs(1000); n != n2 {
+		t.Fatalf("RunStream allocates %v for 500 requests and %v for 1000, want equal", n, n2)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/capacity"
 	"repro/internal/disksim"
 	"repro/internal/geometry"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -381,5 +382,27 @@ func TestRAID1Simulate(t *testing.T) {
 	}
 	if comps[1].SubRequests != 1 || comps[2].SubRequests != 1 {
 		t.Error("reads should be single I/Os")
+	}
+}
+
+// TestRunStreamRejectsOutOfOrderArrival: RunStream needs nondecreasing
+// arrivals, so a request that arrives before the one served before it
+// fails the run, after the requests in order were served and pushed.
+func TestRunStreamRejectsOutOfOrderArrival(t *testing.T) {
+	v := testVolume(t, RAID5, 4)
+	reqs := []Request{
+		{ID: 0, Arrival: 0, Block: 0, Sectors: 8},
+		{ID: 1, Arrival: 5 * time.Millisecond, Block: 64, Sectors: 8},
+		{ID: 2, Arrival: 3 * time.Millisecond, Block: 128, Sectors: 8},
+		{ID: 3, Arrival: 9 * time.Millisecond, Block: 256, Sectors: 8},
+	}
+	var got sim.Appender[Completion]
+	err := v.RunStream(sim.NewEngine(), sim.FromSlice(reqs), &got)
+	const want = "raid: stream out of order: request 2 arrives at 3ms after 5ms"
+	if err == nil || err.Error() != want {
+		t.Fatalf("RunStream error = %v, want %q", err, want)
+	}
+	if len(got.Items) != 2 {
+		t.Fatalf("pushed %d completions before the out-of-order request, want 2", len(got.Items))
 	}
 }
