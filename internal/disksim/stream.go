@@ -11,10 +11,10 @@ import (
 // RunStream drives the disk from a lazily-yielded FCFS request stream on an
 // event engine: each request is admitted as an arrival event, serviced via
 // Serve (all FaultInjector hooks intact), and its completion pushed to sink;
-// only then is the next request pulled, so memory stays O(1) in trace
-// length. The source must yield requests in nondecreasing arrival order —
-// the order Simulate establishes by sorting and the trace generators emit
-// natively.
+// only then is the next request pulled (sim.Chain), so memory stays O(1) in
+// trace length and nothing is allocated per request. The source must yield
+// requests in nondecreasing arrival order — the order Simulate establishes
+// by sorting and the trace generators emit natively.
 //
 // RunStream schedules onto eng and runs it to completion. Passing a shared
 // engine interleaves this disk's admissions with other processes (thermal
@@ -23,48 +23,21 @@ func (d *Disk) RunStream(eng *sim.Engine, src sim.Source[Request], sink sim.Sink
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	s := &diskStream{d: d, src: src, sink: sink}
-	s.fire = s.serve // one event closure for the whole run, not one per request
-	s.admit(eng)
-	if err := eng.Run(); err != nil {
-		return err
-	}
-	return s.failed
+	sim.Chain(eng, src, arrival, func(e *sim.Engine, r Request) bool {
+		c, err := d.Serve(r)
+		if err != nil {
+			e.Fail(err)
+			return false
+		}
+		recordSpan(e.Tracer(), &c)
+		sink.Push(c)
+		return true
+	}, nil)
+	return eng.Run()
 }
 
-// diskStream is RunStream's admission state: one struct and one pre-bound
-// event closure for the whole run. Only one admission is outstanding at a
-// time, so the single in-flight request slot suffices and the per-request
-// path allocates nothing.
-type diskStream struct {
-	d      *Disk
-	src    sim.Source[Request]
-	sink   sim.Sink[Completion]
-	r      Request // the in-flight request, valid between admit and serve
-	failed error
-	fire   func(*sim.Engine)
-}
-
-func (s *diskStream) admit(e *sim.Engine) {
-	r, ok := s.src.Next()
-	if !ok {
-		return
-	}
-	s.r = r
-	e.At(r.Arrival, s.fire)
-}
-
-func (s *diskStream) serve(e *sim.Engine) {
-	c, err := s.d.Serve(s.r)
-	if err != nil {
-		s.failed = err
-		e.Fail(err)
-		return
-	}
-	recordSpan(e.Tracer(), &c)
-	s.sink.Push(c)
-	s.admit(e)
-}
+// arrival is a request's admission time.
+func arrival(r Request) time.Duration { return r.Arrival }
 
 // RunStreamCtx is RunStream with cooperative cancellation: the source is
 // gated on ctx (checked at every admission) and a cancelled run reports

@@ -60,6 +60,17 @@ type chassisResult struct {
 	migrations     int64
 }
 
+// draw is one request of a drive stream before it lands on a slot: its LBN
+// is a fraction of whichever drive serves it.
+type draw struct {
+	id      int64
+	arrival time.Duration
+	frac    float64
+	write   bool
+}
+
+func (q draw) at() time.Duration { return q.arrival }
+
 // fleetDrive is one slot's live state during a chassis simulation.
 type fleetDrive struct {
 	gen   *Generation
@@ -165,14 +176,12 @@ func runChassis(ctx context.Context, cfg Config, env chassisEnv, streamOn []int,
 	}
 
 	eng := sim.NewEngine()
-	var failed error
 	var served int64
 
 	serve := func(e *sim.Engine, d *fleetDrive, r disksim.Request) bool {
 		served++
 		if served%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				failed = err
 				e.Fail(err)
 				return false
 			}
@@ -197,7 +206,6 @@ func runChassis(ctx context.Context, cfg Config, env chassisEnv, streamOn []int,
 
 		comp, err := d.disk.Serve(r)
 		if err != nil {
-			failed = err
 			e.Fail(err)
 			return false
 		}
@@ -229,59 +237,51 @@ func runChassis(ctx context.Context, cfg Config, env chassisEnv, streamOn []int,
 		return best
 	}
 
-	// One admit loop per stream bound to this chassis. The stream keeps
-	// its own rng (keyed by global stream id) and its current slot; a
-	// migration rebinds the remaining requests to the cooler slot.
+	// One chained admission per stream bound to this chassis. The stream
+	// keeps its own rng (keyed by global stream id) and its current slot;
+	// a request's LBN is drawn as a fraction of whichever drive it lands
+	// on, so a migration rebinds the remaining requests to the cooler slot.
 	for s := 0; s < n; s++ {
 		spec := streams[streamOn[env.slot0+s]]
 		rng := rand.New(rand.NewSource(mix(cfg.Workload.Seed, tagArrival, int64(spec.id))))
-		slot := s
 		remaining := cfg.Workload.RequestsPerDrive
 		now := 0.0
 		nextID := int64(spec.id) * int64(cfg.Workload.RequestsPerDrive)
-
-		var admit func(e *sim.Engine)
-		admit = func(e *sim.Engine) {
+		src := sim.SourceFunc[draw](func() (draw, bool) {
 			if remaining == 0 {
-				return
+				return draw{}, false
 			}
 			remaining--
 			now += rng.ExpFloat64() / spec.rate
-			frac := rng.Float64()
-			write := rng.Float64() < writeFraction
-			arrival := time.Duration(now * float64(time.Second))
-			id := nextID
+			q := draw{id: nextID, arrival: time.Duration(now * float64(time.Second)), frac: rng.Float64()}
+			q.write = rng.Float64() < writeFraction
 			nextID++
-			e.At(arrival, func(e *sim.Engine) {
-				d := drives[slot]
-				lbn := int64(frac * float64(d.gen.TotalSectors-requestSectors))
-				ok := serve(e, d, disksim.Request{
-					ID:      id,
-					Arrival: arrival,
-					LBN:     lbn,
-					Sectors: requestSectors,
-					Write:   write,
-				})
-				if !ok {
-					return
+			return q, true
+		})
+		slot := s
+		sim.Chain(eng, src, draw.at, func(e *sim.Engine, q draw) bool {
+			d := drives[slot]
+			if !serve(e, d, disksim.Request{
+				ID:      q.id,
+				Arrival: q.arrival,
+				LBN:     int64(q.frac * float64(d.gen.TotalSectors-requestSectors)),
+				Sectors: requestSectors,
+				Write:   q.write,
+			}) {
+				return false
+			}
+			if cfg.Migration.ThresholdC > 0 && d.air >= cfg.Migration.ThresholdC {
+				if to := pickCooler(slot); to >= 0 {
+					slot = to
+					res.migrations++
 				}
-				if cfg.Migration.ThresholdC > 0 && d.air >= cfg.Migration.ThresholdC {
-					if to := pickCooler(slot); to >= 0 {
-						slot = to
-						res.migrations++
-					}
-				}
-				admit(e)
-			})
-		}
-		admit(eng)
+			}
+			return true
+		}, nil)
 	}
 
 	if err := eng.Run(); err != nil {
 		return nil, err
-	}
-	if failed != nil {
-		return nil, failed
 	}
 
 	// Drain every drive's transient to the chassis' end of time so idle

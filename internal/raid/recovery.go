@@ -485,17 +485,35 @@ func (s *RecoverySession) Serve(r Request) (Completion, error) {
 }
 
 // RunStream services requests pulled lazily from src on an event engine,
-// pushing each completion to sink as it happens. Requests whose data is
-// unrecoverable (ErrDataLoss on a non-redundant level) are counted as lost
-// and skipped, matching Run; any other error aborts the engine. The source
-// must yield requests in nondecreasing arrival order.
+// pushing each completion to sink as it happens (sim.Chain, nothing
+// allocated per request). Requests whose data is unrecoverable
+// (ErrDataLoss on a non-redundant level) are counted as lost and skipped,
+// matching Run; any other error aborts the engine. The source must yield
+// requests in nondecreasing arrival order.
 func (s *RecoverySession) RunStream(eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	rs := &recoveryStream{s: s, src: src, sink: sink}
-	rs.fire = rs.serve // one event closure for the whole run, not one per request
-	rs.admit(eng)
+	sim.Chain(eng, src, arrival, func(e *sim.Engine, r Request) bool {
+		c, err := s.Serve(r)
+		if errors.Is(err, ErrDataLoss) {
+			// Non-redundant level with a dead member: the request's data
+			// is gone, but the replay goes on — the report counts the
+			// casualties instead of aborting at the first one.
+			s.report.LostRequests++
+			if s.v.ins != nil {
+				s.v.ins.lostRequests.Inc()
+			}
+			return true
+		}
+		if err != nil {
+			e.Fail(err)
+			return false
+		}
+		recordSpan(e.Tracer(), &c)
+		sink.Push(c)
+		return true
+	}, nil)
 	if err := eng.Run(); err != nil {
 		return err
 	}
@@ -509,51 +527,7 @@ func (s *RecoverySession) RunStream(eng *sim.Engine, src sim.Source[Request], si
 		}
 		s.advanceRebuilds(last)
 	}
-	return rs.failed
-}
-
-// recoveryStream is RecoverySession.RunStream's admission state, the same
-// one-struct/one-closure pattern as volumeStream with the ErrDataLoss
-// count-and-continue path added.
-type recoveryStream struct {
-	s      *RecoverySession
-	src    sim.Source[Request]
-	sink   sim.Sink[Completion]
-	r      Request // the in-flight request, valid between admit and serve
-	failed error
-	fire   func(*sim.Engine)
-}
-
-func (rs *recoveryStream) admit(e *sim.Engine) {
-	r, ok := rs.src.Next()
-	if !ok {
-		return
-	}
-	rs.r = r
-	e.At(r.Arrival, rs.fire)
-}
-
-func (rs *recoveryStream) serve(e *sim.Engine) {
-	c, err := rs.s.Serve(rs.r)
-	if errors.Is(err, ErrDataLoss) {
-		// Non-redundant level with a dead member: the request's data is
-		// gone, but the replay goes on — the report counts the casualties
-		// instead of aborting at the first one.
-		rs.s.report.LostRequests++
-		if rs.s.v.ins != nil {
-			rs.s.v.ins.lostRequests.Inc()
-		}
-		rs.admit(e)
-		return
-	}
-	if err != nil {
-		rs.failed = err
-		e.Fail(err)
-		return
-	}
-	recordSpan(e.Tracer(), &c)
-	rs.sink.Push(c)
-	rs.admit(e)
+	return nil
 }
 
 // RunStreamCtx is RunStream with cooperative cancellation: the source is

@@ -1,7 +1,6 @@
 package raid
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -49,9 +48,10 @@ func (v *Volume) Serve(r Request) (c Completion, err error) {
 }
 
 // RunStream services volume requests pulled lazily from src, pushing each
-// completion to sink as it happens: memory stays O(1) in trace length. The
-// source must yield requests in nondecreasing arrival order (the trace
-// generators do); an out-of-order arrival aborts the run.
+// completion to sink as it happens: memory stays O(1) in trace length and
+// nothing is allocated per request (sim.Chain admits one request at a
+// time). The source must yield requests in nondecreasing arrival order (the
+// trace generators do); an out-of-order arrival aborts the run.
 //
 // Requests are admitted as engine events at their arrival times, so sharing
 // eng with other processes (DTM sample ticks, a second volume) interleaves
@@ -60,68 +60,28 @@ func (v *Volume) RunStream(eng *sim.Engine, src sim.Source[Request], sink sim.Si
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	s := &volumeStream{v: v, src: src, sink: sink, last: -1}
-	s.fire = s.serve // one event closure for the whole run, not one per request
-	s.admit(eng)
-	if err := eng.Run(); err != nil {
-		return err
-	}
-	return s.failed
+	last := time.Duration(-1)
+	sim.Chain(eng, src, arrival, func(e *sim.Engine, r Request) bool {
+		if r.Arrival < last {
+			e.Fail(fmt.Errorf("raid: stream out of order: request %d arrives at %v after %v",
+				r.ID, r.Arrival, last))
+			return false
+		}
+		last = r.Arrival
+		c, err := v.Serve(r)
+		if err != nil {
+			e.Fail(err)
+			return false
+		}
+		recordSpan(e.Tracer(), &c)
+		sink.Push(c)
+		return true
+	}, nil)
+	return eng.Run()
 }
 
-// volumeStream is RunStream's admission state. One struct and one pre-bound
-// event closure carry the entire run — only one admission is outstanding at
-// a time (the next request is pulled after the previous one is served), so
-// the single in-flight request slot suffices and the per-request path
-// allocates nothing.
-type volumeStream struct {
-	v      *Volume
-	src    sim.Source[Request]
-	sink   sim.Sink[Completion]
-	r      Request // the in-flight request, valid between admit and serve
-	last   time.Duration
-	failed error
-	fire   func(*sim.Engine)
-}
-
-func (s *volumeStream) admit(e *sim.Engine) {
-	r, ok := s.src.Next()
-	if !ok {
-		return
-	}
-	if r.Arrival < s.last {
-		s.failed = fmt.Errorf("raid: stream out of order: request %d arrives at %v after %v",
-			r.ID, r.Arrival, s.last)
-		e.Fail(s.failed)
-		return
-	}
-	s.last = r.Arrival
-	s.r = r
-	e.At(r.Arrival, s.fire)
-}
-
-func (s *volumeStream) serve(e *sim.Engine) {
-	c, err := s.v.Serve(s.r)
-	if err != nil {
-		s.failed = err
-		e.Fail(err)
-		return
-	}
-	recordSpan(e.Tracer(), &c)
-	s.sink.Push(c)
-	s.admit(e)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation: the source is
-// gated on ctx, so a cancelled context ends the replay at the next request
-// admission, and the cancellation is reported as ctx.Err() rather than a
-// silently-short run. The serving layer's job cancellation rides on this.
-func (v *Volume) RunStreamCtx(ctx context.Context, eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
-	if err := v.RunStream(eng, sim.Gate(ctx, src), sink); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
+// arrival is a request's admission time.
+func arrival(r Request) time.Duration { return r.Arrival }
 
 // Simulate runs a volume-level workload and returns completions sorted by
 // request arrival. It is the collect-into-slice wrapper over RunStream: the
