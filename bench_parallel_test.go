@@ -28,13 +28,13 @@ func workerCounts() []int {
 	return counts
 }
 
-// BenchmarkParallelFigure4 times the full Figure 4 grid — every workload,
-// every RPM step — at each worker count.
+// BenchmarkParallelFigure4 times the full Figure 4 grid on the streaming
+// path — every workload, every RPM step — at each worker count.
 func BenchmarkParallelFigure4(b *testing.B) {
 	for _, w := range workerCounts() {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunAllFigure4Workers(20000, w)
+				res, err := core.RunAllFigure4StreamObs(20000, w, core.Observe{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -157,7 +157,7 @@ func benchFigure4(b *testing.B, name string, requests int) {
 	var gain float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFigure4(w)
+		res, err := core.RunFigure4StepsStream(w, core.Figure4Steps(w.BaselineRPM), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -155,7 +156,7 @@ func run(out io.Writer, name string, requests int, save string, analyze bool, co
 		if exact {
 			res, err = core.RunFigure4Steps(w, steps, workers)
 		} else {
-			res, err = core.RunFigure4StepsStreamObs(w, steps, workers, ob)
+			res, err = core.RunFigure4StepsStreamCtx(context.Background(), w, steps, workers, ob, nil)
 		}
 		if err != nil {
 			return err

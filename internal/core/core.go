@@ -1,7 +1,8 @@
 // Package core is the library facade: one import that ties the capacity,
 // performance and thermal models, the technology roadmap, the disk
 // simulator and the DTM policies together, and that can regenerate every
-// table and figure of the paper (see RunFigure4 and the cmd/ binaries).
+// table and figure of the paper (see RunAllFigure4StreamObs and the cmd/
+// binaries).
 //
 // The underlying pieces remain importable individually:
 //

@@ -35,7 +35,7 @@ func TestRoadmapDrive(t *testing.T) {
 
 func TestRunFigure4SmallRun(t *testing.T) {
 	w := trace.Workloads[1].WithRequests(4000) // OLTP, 24 lightly-loaded disks
-	res, err := RunFigure4(w)
+	res, err := RunFigure4StepsStream(w, Figure4Steps(w.BaselineRPM), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRunAllFigure4Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five workloads")
 	}
-	results, err := RunAllFigure4(1500)
+	results, err := RunAllFigure4StreamObs(1500, 0, Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,15 +240,7 @@ func expFigure4(w io.Writer, requests, workers int, ob Observe) error {
 		"TPC-C":            {6.50, 3.23, 2.46, 2.06},
 		"TPC-H":            {4.91, 3.25, 2.64, 2.32},
 	}
-	var results []WorkloadResult
-	var err error
-	if ob.enabled() {
-		// Streaming path so the per-step instrumentation is live; the
-		// means the report prints are bit-identical to the batch path.
-		results, err = RunAllFigure4StreamObs(requests, workers, ob)
-	} else {
-		results, err = RunAllFigure4Workers(requests, workers)
-	}
+	results, err := RunAllFigure4StreamObs(requests, workers, ob)
 	if err != nil {
 		return err
 	}

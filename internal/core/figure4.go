@@ -55,27 +55,15 @@ func (r WorkloadResult) Improvements() []float64 {
 	return out
 }
 
-// RunFigure4 simulates one workload across the paper's RPM sweep. The same
-// generated trace drives every speed (only the array's spindle speed
+// RunFigure4Steps runs an explicit RPM sweep on the batch path, the one
+// that reports the exact p95 order statistic (cmd/tracesim -exact). The
+// same generated trace drives every speed (only the array's spindle speed
 // changes), exactly as the paper replays each trace against faster drives.
-// The RPM steps fan out over the parallel sweep engine at the default
-// worker count.
-func RunFigure4(p trace.Params) (WorkloadResult, error) {
-	return RunFigure4Workers(p, 0)
-}
-
-// RunFigure4Workers is RunFigure4 with an explicit worker count
-// (workers <= 0 uses parallel.Default(); 1 forces the sequential path).
-// Every worker count produces bit-identical results.
-func RunFigure4Workers(p trace.Params, workers int) (WorkloadResult, error) {
-	return RunFigure4Steps(p, Figure4Steps(p.BaselineRPM), workers)
-}
-
-// RunFigure4Steps runs an explicit RPM sweep. Each step is an independent
-// simulation: the worker builds its own volume (no simulator state is
-// shared), replays the one shared read-only trace, and summarises its own
-// completions, so the steps run concurrently without changing a bit of the
-// output.
+// Each step is an independent simulation: the worker builds its own volume
+// (no simulator state is shared), replays the one shared read-only trace,
+// and summarises its own completions, so the steps run concurrently
+// without changing a bit of the output (workers <= 0 uses
+// parallel.Default(); 1 forces the sequential path).
 func RunFigure4Steps(p trace.Params, steps []units.RPM, workers int) (WorkloadResult, error) {
 	res := WorkloadResult{Workload: p}
 	if len(steps) == 0 {
@@ -134,25 +122,6 @@ func summarizeStep(rpm units.RPM, comps []raid.Completion) RPMStep {
 		step.CacheHitFraction = float64(hits) / float64(subs)
 	}
 	return step
-}
-
-// RunAllFigure4 runs every workload at the default worker count, optionally
-// scaled to n requests each (n <= 0 keeps the paper's full request counts).
-func RunAllFigure4(n int) ([]WorkloadResult, error) {
-	return RunAllFigure4Workers(n, 0)
-}
-
-// RunAllFigure4Workers fans the whole Figure 4 grid — every workload, every
-// RPM step — out over the sweep engine. The per-workload and per-step
-// fan-outs share the worker budget; results come back in the workload
-// order of trace.Workloads, bit-identical at any worker count.
-func RunAllFigure4Workers(n, workers int) ([]WorkloadResult, error) {
-	return parallel.Map(workers, trace.Workloads, func(_ int, w trace.Params) (WorkloadResult, error) {
-		if n > 0 {
-			w = w.WithRequests(n)
-		}
-		return RunFigure4Workers(w, workers)
-	})
 }
 
 // FormatResult renders one panel as text (CDF rows per RPM plus the means),

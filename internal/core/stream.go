@@ -43,27 +43,13 @@ func (o Observe) spanLimit() int {
 	return obs.DefaultSpanLimit
 }
 
-// enabled reports whether any sink is attached.
-func (o Observe) enabled() bool { return o.Registry != nil || o.Tracer != nil }
-
 // RunFigure4StepsStream runs an explicit RPM sweep on the streaming path.
 // Each step is fully self-contained — its own engine, its own volume, its
 // own lazy re-streaming of the seeded trace — so the steps fan out over the
 // sweep engine (workers <= 0 uses parallel.Default()) while memory stays
 // O(queue depth) per in-flight step.
 func RunFigure4StepsStream(p trace.Params, steps []units.RPM, workers int) (WorkloadResult, error) {
-	return RunFigure4StepsStreamObs(p, steps, workers, Observe{})
-}
-
-// RunFigure4StepsStreamObs is RunFigure4StepsStream with observability
-// sinks. With ob zero it is the same code on the same fast path (nil metric
-// handles, nil tracer). With sinks attached, each step instruments its own
-// volume under {workload, rpm} labels and records request spans into a
-// private sub-tracer; sub-tracers merge into ob.Tracer in step order after
-// the fan-in, so both the snapshot and the span stream are byte-identical
-// at any worker count.
-func RunFigure4StepsStreamObs(p trace.Params, steps []units.RPM, workers int, ob Observe) (WorkloadResult, error) {
-	return RunFigure4StepsStreamCtx(context.Background(), p, steps, workers, ob, nil)
+	return RunFigure4StepsStreamCtx(context.Background(), p, steps, workers, Observe{}, nil)
 }
 
 // figure4Step runs one RPM cell of the streaming sweep: its own volume, its
@@ -125,14 +111,20 @@ func figure4Step(ctx context.Context, p trace.Params, rpm units.RPM, ob Observe,
 	return step, nil
 }
 
-// RunFigure4StepsStreamCtx is RunFigure4StepsStreamObs with cooperative
-// cancellation and incremental delivery. ctx is checked at every request
-// admission inside each step and at every step boundary; a cancelled or
-// deadline-expired context aborts the sweep and returns ctx.Err(). When
-// onStep is non-nil, each completed RPMStep is pushed to it in step order
-// as soon as it and every earlier step have finished — so a serving layer
-// can stream partial results to a client while later steps still run,
-// without the delivery order ever depending on the worker count.
+// RunFigure4StepsStreamCtx is RunFigure4StepsStream with observability
+// sinks, cooperative cancellation and incremental delivery. With ob zero it
+// is the same code on the same fast path (nil metric handles, nil tracer).
+// With sinks attached, each step instruments its own volume under
+// {workload, rpm} labels and records request spans into a private
+// sub-tracer; sub-tracers merge into ob.Tracer in step order after the
+// fan-in, so both the snapshot and the span stream are byte-identical at
+// any worker count. ctx is checked at every request admission inside each
+// step and at every step boundary; a cancelled or deadline-expired context
+// aborts the sweep and returns ctx.Err(). When onStep is non-nil, each
+// completed RPMStep is pushed to it in step order as soon as it and every
+// earlier step have finished — so a serving layer can stream partial
+// results to a client while later steps still run, without the delivery
+// order ever depending on the worker count.
 func RunFigure4StepsStreamCtx(ctx context.Context, p trace.Params, steps []units.RPM, workers int, ob Observe, onStep sim.Sink[RPMStep]) (WorkloadResult, error) {
 	res := WorkloadResult{Workload: p}
 	subTracers := make([]*obs.Tracer, len(steps))
@@ -181,11 +173,15 @@ func RunFigure4StepsStreamCtx(ctx context.Context, p trace.Params, steps []units
 	return res, nil
 }
 
-// RunAllFigure4StreamObs fans the whole Figure 4 grid out on the streaming
-// path with observability sinks. Tracer determinism nests: each workload
-// records into its own sub-tracer (whose steps in turn record into per-step
-// sub-tracers), and the merges happen in workload order here, step order
-// inside — so -trace-out bytes are independent of the worker count.
+// RunAllFigure4StreamObs fans the whole Figure 4 grid — every workload,
+// every RPM step — out on the streaming path, optionally scaled to n
+// requests each (n <= 0 keeps the paper's full request counts). The
+// per-workload and per-step fan-outs share the worker budget; results come
+// back in the workload order of trace.Workloads, bit-identical at any
+// worker count. Tracer determinism nests: each workload records into its
+// own sub-tracer (whose steps in turn record into per-step sub-tracers),
+// and the merges happen in workload order here, step order inside — so
+// -trace-out bytes are independent of the worker count.
 func RunAllFigure4StreamObs(n, workers int, ob Observe) ([]WorkloadResult, error) {
 	subTracers := make([]*obs.Tracer, len(trace.Workloads))
 	out, err := parallel.Map(workers, trace.Workloads, func(i int, w trace.Params) (WorkloadResult, error) {
@@ -197,7 +193,7 @@ func RunAllFigure4StreamObs(n, workers int, ob Observe) ([]WorkloadResult, error
 			subTracers[i] = obs.NewTracer(ob.spanLimit())
 			wb.Tracer = subTracers[i]
 		}
-		return RunFigure4StepsStreamObs(w, Figure4Steps(w.BaselineRPM), workers, wb)
+		return RunFigure4StepsStreamCtx(context.Background(), w, Figure4Steps(w.BaselineRPM), workers, wb, nil)
 	})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@
 package integration
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,8 +22,8 @@ func renderObs(t *testing.T, workers int) (metrics, spans string) {
 	w := trace.Workloads[3].WithRequests(1500) // TPC-C: smallest array
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(0)
-	_, err := core.RunFigure4StepsStreamObs(w, core.Figure4Steps(w.BaselineRPM), workers,
-		core.Observe{Registry: reg, Tracer: tr})
+	_, err := core.RunFigure4StepsStreamCtx(context.Background(), w, core.Figure4Steps(w.BaselineRPM), workers,
+		core.Observe{Registry: reg, Tracer: tr}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +60,8 @@ func TestObsSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
 func TestObsMetricsMatchResults(t *testing.T) {
 	w := trace.Workloads[3].WithRequests(1500)
 	reg := obs.NewRegistry()
-	res, err := core.RunFigure4StepsStreamObs(w, core.Figure4Steps(w.BaselineRPM), 2,
-		core.Observe{Registry: reg})
+	res, err := core.RunFigure4StepsStreamCtx(context.Background(), w, core.Figure4Steps(w.BaselineRPM), 2,
+		core.Observe{Registry: reg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

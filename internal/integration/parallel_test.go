@@ -27,11 +27,11 @@ func TestFigure4ParallelMatchesSequential(t *testing.T) {
 		w := w.WithRequests(3000)
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			seq, err := core.RunFigure4Workers(w, 1)
+			seq, err := core.RunFigure4Steps(w, core.Figure4Steps(w.BaselineRPM), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := core.RunFigure4Workers(w, 4)
+			par, err := core.RunFigure4Steps(w, core.Figure4Steps(w.BaselineRPM), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
