@@ -86,17 +86,6 @@ type Config struct {
 	// Scheduler selects the queueing discipline for Simulate.
 	Scheduler Scheduler
 
-	// RetryProb, when non-nil, is consulted once per mechanical access
-	// with the request's start time; it returns the probability that the
-	// access suffers an off-track error and must retry after one full
-	// extra revolution.
-	//
-	// Deprecated: RetryProb only models single retries. Use Faults with a
-	// dtm.ThermalFaults injector, which adds multi-retry, unrecoverable-
-	// sector and whole-disk failure paths. RetryProb is ignored when
-	// Faults is set.
-	RetryProb func(now time.Duration) float64
-
 	// Faults, when non-nil, is consulted once per mechanical access and
 	// can demand off-track retries, declare the sector unrecoverable
 	// (spare-pool remapping), or fail the whole disk. This is how
@@ -138,7 +127,6 @@ type Disk struct {
 
 	served  int64
 	retries int64
-	rng     uint64 // xorshift state for legacy RetryProb draws
 
 	// ins is the optional metric handle set; nil (the default) keeps the
 	// service path allocation- and observation-free.
@@ -200,7 +188,6 @@ func New(cfg Config) (*Disk, error) {
 		seek:      sm,
 		cache:     newCache(cfg.CacheBytes, cfg.CacheSegments),
 		rpm:       cfg.RPM,
-		rng:       0x9e3779b97f4a7c15,
 		remaps:    make(map[int64]int64),
 		sparePool: spares,
 	}
@@ -271,14 +258,6 @@ func (d *Disk) Served() int64 { return d.served }
 
 // Retries returns how many off-track retries have occurred.
 func (d *Disk) Retries() int64 { return d.retries }
-
-// rand draws a deterministic uniform float64 in [0,1) for retry decisions.
-func (d *Disk) rand() float64 {
-	d.rng ^= d.rng << 13
-	d.rng ^= d.rng >> 7
-	d.rng ^= d.rng << 17
-	return float64(d.rng>>11) / float64(1<<53)
-}
 
 // period returns one revolution as a time.Duration.
 func (d *Disk) period() time.Duration { return d.rev }
@@ -367,15 +346,6 @@ func (d *Disk) Serve(r Request) (c Completion, err error) {
 			d.headCyl = lastCyl
 			d.ready = t
 			return Completion{}, err
-		}
-	} else if d.cfg.RetryProb != nil {
-		// Deprecated single-retry path, kept for existing callers.
-		if p := d.cfg.RetryProb(start); p > 0 && d.rand() < p {
-			c.Parts.Rotation += period
-			c.Retried = true
-			c.Retries++
-			t += period
-			d.retries++
 		}
 	}
 

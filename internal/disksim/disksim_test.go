@@ -474,69 +474,3 @@ func TestLOOKBeatsFCFSOnBacklog(t *testing.T) {
 		t.Errorf("LOOK makespan %v not better than FCFS %v", look, fcfs)
 	}
 }
-
-func TestRetryProbAddsRevolutions(t *testing.T) {
-	layout := testLayout(t)
-	always := func(time.Duration) float64 { return 1 }
-	never := func(time.Duration) float64 { return 0 }
-	mk := func(p func(time.Duration) float64) (*Disk, Completion) {
-		d, err := New(Config{Layout: layout, RPM: 10000, CacheBytes: -1, RetryProb: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := d.Serve(Request{ID: 1, LBN: 5000, Sectors: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d, c
-	}
-	dRetry, retry := mk(always)
-	_, clean := mk(never)
-	rev := time.Duration(units.RPM(10000).PeriodSeconds() * float64(time.Second))
-	extra := retry.Response() - clean.Response()
-	if !retry.Retried || clean.Retried {
-		t.Error("Retried flags wrong")
-	}
-	if extra != rev {
-		t.Errorf("retry added %v, want one revolution (%v)", extra, rev)
-	}
-	if dRetry.Retries() != 1 {
-		t.Errorf("retry counter = %d", dRetry.Retries())
-	}
-}
-
-func TestRetryProbSkipsCacheHits(t *testing.T) {
-	layout := testLayout(t)
-	d, err := New(Config{Layout: layout, RPM: 10000,
-		RetryProb: func(time.Duration) float64 { return 1 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Serve(Request{ID: 1, LBN: 0, Sectors: 8}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := d.Serve(Request{ID: 2, LBN: 0, Sectors: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.CacheHit || c.Retried {
-		t.Error("cache hits never touch the media, so they cannot retry")
-	}
-}
-
-func TestRetryProbStatistics(t *testing.T) {
-	layout := testLayout(t)
-	d, err := New(Config{Layout: layout, RPM: 10000, CacheBytes: -1,
-		RetryProb: func(time.Duration) float64 { return 0.3 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := randomReads(layout, 2000, 1e6)
-	if _, err := d.Simulate(reqs); err != nil {
-		t.Fatal(err)
-	}
-	frac := float64(d.Retries()) / 2000
-	if frac < 0.25 || frac > 0.35 {
-		t.Errorf("retry fraction %.3f, want ~0.30", frac)
-	}
-}

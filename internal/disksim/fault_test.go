@@ -152,23 +152,6 @@ func TestFaultInjectorSkipsCacheHits(t *testing.T) {
 	}
 }
 
-func TestFaultsPreemptLegacyRetryProb(t *testing.T) {
-	layout := testLayout(t)
-	d, err := New(Config{Layout: layout, RPM: 10000, CacheBytes: -1,
-		Faults:    &scripted{},
-		RetryProb: func(time.Duration) float64 { return 1 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := d.Serve(Request{ID: 1, LBN: 5000, Sectors: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Retried {
-		t.Error("Faults must supersede the deprecated RetryProb path")
-	}
-}
-
 func TestSpareSectorsPositive(t *testing.T) {
 	if s := testLayout(t).SpareSectors(); s <= 0 {
 		t.Errorf("spare pool %d, want > 0", s)

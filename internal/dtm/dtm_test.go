@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/capacity"
 	"repro/internal/disksim"
+	"repro/internal/reliability"
 	"repro/internal/scaling"
 	"repro/internal/thermal"
 	"repro/internal/units"
@@ -327,13 +328,12 @@ func TestOffTrackRetriesAboveEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the transient at a hot steady state (no controller): 24,534 RPM
+	// Hold the drive at a hot steady state (no controller): 24,534 RPM
 	// worst case is 48.5 C — 3.3 C over the envelope.
 	hot := th.SteadyState(thermal.WorstCase(24534))
-	tr := th.NewTransient(hot)
 	model := OffTrackModel{}
 	d, err := disksim.New(disksim.Config{Layout: layout, RPM: 24534, CacheBytes: -1,
-		RetryProb: model.Bind(tr)})
+		Faults: NewThermalFaults(model, reliability.Default(), BindSteady(hot.Air), 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,8 @@ func TestOffTrackRetriesAboveEnvelope(t *testing.T) {
 	if d.Retries() == 0 {
 		t.Error("an over-envelope drive should suffer off-track retries")
 	}
-	// The retry rate should be near ProbAt(48.5 C).
+	// The retry rate should be near p = ProbAt(48.5 C): each access draws
+	// a geometric run of retries, about p/(1-p) of them.
 	want := model.ProbAt(hot.Air)
 	got := float64(d.Retries()) / 3000
 	if got < want/2 || got > want*2 {

@@ -1,8 +1,6 @@
 package dtm
 
 import (
-	"time"
-
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -57,17 +55,4 @@ func (m OffTrackModel) ProbAt(t units.Celsius) float64 {
 		f = 1
 	}
 	return f * m.maxProb()
-}
-
-// Bind returns a disksim.Config.RetryProb callback that reads the current
-// air temperature from a live thermal transient. The caller must keep the
-// transient's clock in step with the disk's (the DTM controllers do).
-//
-// Deprecated: Bind feeds the single-retry RetryProb path. Build a
-// ThermalFaults injector instead — it draws multi-retry runs from this same
-// model and adds the unrecoverable-sector and disk-failure mechanisms.
-func (m OffTrackModel) Bind(tr *thermal.Transient) func(time.Duration) float64 {
-	return func(time.Duration) float64 {
-		return m.ProbAt(tr.State().Air)
-	}
 }
