@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -76,7 +75,6 @@ type Options struct {
 	HTTPClient *http.Client                     // default http.DefaultClient
 	Retry      RetryPolicy                      // retry schedule
 	Breaker    BreakerPolicy                    // circuit breaker
-	Registry   *obs.Registry                    // retry/breaker metrics destination; nil = none
 	Seed       int64                            // jitter seed; 0 seeds from the clock
 	Logf       func(format string, args ...any) // retry/breaker events; nil = silent
 }
@@ -108,9 +106,6 @@ type Client struct {
 	fails    int       // consecutive failures (closed state)
 	openedAt time.Time // breaker open since; zero = closed
 	probing  bool      // a half-open probe is in flight
-
-	retries      *obs.Counter
-	breakerOpens *obs.Counter
 }
 
 // New builds a client for the simd at base (e.g. "http://127.0.0.1:8080").
@@ -127,7 +122,7 @@ func New(base string, opts Options) *Client {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	c := &Client{
+	return &Client{
 		base:    strings.TrimRight(base, "/"),
 		httpc:   httpc,
 		retry:   opts.Retry.withDefaults(),
@@ -135,11 +130,6 @@ func New(base string, opts Options) *Client {
 		logf:    logf,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	if opts.Registry != nil {
-		c.retries = opts.Registry.VolatileCounter("simclient_retries_total")
-		c.breakerOpens = opts.Registry.VolatileCounter("simclient_breaker_opens_total")
-	}
-	return c
 }
 
 // --- circuit breaker ---
@@ -186,9 +176,6 @@ func (c *Client) reportFailure() {
 	c.fails++
 	if c.openedAt.IsZero() && c.fails >= c.breaker.Threshold {
 		c.openedAt = time.Now()
-		if c.breakerOpens != nil {
-			c.breakerOpens.Inc()
-		}
 		c.logf("simclient: circuit opened after %d consecutive failures", c.fails)
 	}
 }
@@ -271,9 +258,6 @@ func (c *Client) do(ctx context.Context, method, path string, body func() io.Rea
 		}
 		if !hinted {
 			delay = c.backoff(attempt)
-		}
-		if c.retries != nil {
-			c.retries.Inc()
 		}
 		c.logf("simclient: %s %s attempt %d failed (%v), retrying in %v", method, path, attempt, lastErr, delay)
 		select {

@@ -29,18 +29,9 @@ type Observe struct {
 	// Tracer receives request-lifetime spans. Each step records into a
 	// private sub-tracer; the runner merges them in step order after the
 	// parallel fan-in, so span output is deterministic too.
+	// Each step retains at most obs.DefaultSpanLimit spans; overflow is
+	// counted, not kept, bounding memory on long replays.
 	Tracer *obs.Tracer
-
-	// SpanLimit caps the spans each step retains (0 = obs.DefaultSpanLimit).
-	// Overflow is counted, not kept, bounding memory on long replays.
-	SpanLimit int
-}
-
-func (o Observe) spanLimit() int {
-	if o.SpanLimit > 0 {
-		return o.SpanLimit
-	}
-	return obs.DefaultSpanLimit
 }
 
 // RunFigure4StepsStream runs an explicit RPM sweep on the streaming path.
@@ -153,7 +144,7 @@ func RunFigure4StepsStreamCtx(ctx context.Context, p trace.Params, steps []units
 	out, err := parallel.MapCtx(ctx, workers, steps, func(i int, rpm units.RPM) (RPMStep, error) {
 		var tracer *obs.Tracer
 		if ob.Tracer != nil {
-			tracer = obs.NewTracer(ob.spanLimit())
+			tracer = obs.NewTracer(obs.DefaultSpanLimit)
 			subTracers[i] = tracer
 		}
 		step, err := figure4Step(ctx, p, rpm, ob, tracer)
@@ -190,7 +181,7 @@ func RunAllFigure4StreamObs(n, workers int, ob Observe) ([]WorkloadResult, error
 		}
 		wb := ob
 		if ob.Tracer != nil {
-			subTracers[i] = obs.NewTracer(ob.spanLimit())
+			subTracers[i] = obs.NewTracer(obs.DefaultSpanLimit)
 			wb.Tracer = subTracers[i]
 		}
 		return RunFigure4StepsStreamCtx(context.Background(), w, Figure4Steps(w.BaselineRPM), workers, wb, nil)

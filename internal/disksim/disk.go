@@ -45,7 +45,8 @@ func (s Scheduler) String() string {
 	}
 }
 
-// Default configuration values.
+// Default configuration values. Every disk uses the values after
+// DefaultCacheBytes; only the cache size is configurable.
 const (
 	DefaultCacheBytes    = 4 << 20 // the paper gives every disk a 4 MB cache
 	DefaultCacheSegments = 16
@@ -55,6 +56,9 @@ const (
 	DefaultSettle        = 500 * time.Microsecond // post-retry/relocation head settle
 )
 
+// busBytesPerSec is the interface bandwidth cache-hit transfers divide by.
+const busBytesPerSec = DefaultBusMBPerSec * units.MB
+
 // Config describes one simulated disk.
 type Config struct {
 	// Layout is the exact ZBR recording layout (required).
@@ -63,25 +67,9 @@ type Config struct {
 	// RPM is the initial spindle speed (required).
 	RPM units.RPM
 
-	// Seek overrides the platter-size-derived seek parameters when nonzero.
-	Seek perf.SeekParams
-
-	// CacheBytes and CacheSegments size the read cache; -1 bytes disables
-	// it, 0 means the 4 MB default.
-	CacheBytes    int64
-	CacheSegments int
-
-	// Overhead is the per-request controller/bus overhead (0 = default).
-	Overhead time.Duration
-
-	// HeadSwitch is the cost of crossing a track/surface boundary during a
-	// multi-track transfer (0 = default). Optimal skew is assumed, so no
-	// extra rotational re-alignment is charged.
-	HeadSwitch time.Duration
-
-	// BusMBPerSec is the interface bandwidth used for cache-hit transfers
-	// (0 = default).
-	BusMBPerSec float64
+	// CacheBytes sizes the read cache of DefaultCacheSegments segments;
+	// -1 disables it, 0 means the 4 MB default.
+	CacheBytes int64
 
 	// Scheduler selects the queueing discipline for Simulate.
 	Scheduler Scheduler
@@ -91,12 +79,9 @@ type Config struct {
 	// (spare-pool remapping), or fail the whole disk. This is how
 	// thermally-induced errors (the failure mechanism the paper's
 	// envelope guards against) couple into service time: a DTM layer
-	// wires an injector to its thermal transient.
+	// wires an injector to its thermal transient. Each retry and each
+	// spare-area relocation costs a DefaultSettle head settle.
 	Faults FaultInjector
-
-	// Settle is the head-settle time charged per off-track retry and per
-	// spare-area relocation (0 = DefaultSettle).
-	Settle time.Duration
 
 	// SparePool overrides the grown-defect spare-sector budget:
 	// 0 = the layout's reserve-track pool (Layout.SpareSectors),
@@ -119,11 +104,10 @@ type Disk struct {
 	// rather than recomputed per request. Each is the exact expression
 	// Serve used to evaluate inline — identical operands, identical
 	// operations — so hoisting them cannot change a single output bit.
-	rev            time.Duration // one revolution at the current rpm
-	revF           float64       // float64(rev): the rotation/transfer divisor
-	busBytesPerSec float64       // BusMBPerSec*MB: cache-hit transfer divisor
-	zoneSPT        []zoneRate    // per-zone sectors-per-track table
-	cylsPerZone    int           // zone index = cylinder / cylsPerZone
+	rev         time.Duration // one revolution at the current rpm
+	revF        float64       // float64(rev): the rotation/transfer divisor
+	zoneSPT     []zoneRate    // per-zone sectors-per-track table
+	cylsPerZone int           // zone index = cylinder / cylsPerZone
 
 	served  int64
 	retries int64
@@ -152,21 +136,6 @@ func New(cfg Config) (*Disk, error) {
 	if cfg.CacheBytes < 0 {
 		cfg.CacheBytes = 0
 	}
-	if cfg.CacheSegments == 0 {
-		cfg.CacheSegments = DefaultCacheSegments
-	}
-	if cfg.Overhead == 0 {
-		cfg.Overhead = DefaultOverhead
-	}
-	if cfg.HeadSwitch == 0 {
-		cfg.HeadSwitch = DefaultHeadSwitch
-	}
-	if cfg.BusMBPerSec == 0 {
-		cfg.BusMBPerSec = DefaultBusMBPerSec
-	}
-	if cfg.Settle == 0 {
-		cfg.Settle = DefaultSettle
-	}
 	spares := cfg.SparePool
 	if spares == 0 {
 		spares = cfg.Layout.SpareSectors()
@@ -174,10 +143,7 @@ func New(cfg Config) (*Disk, error) {
 	if spares < 0 {
 		spares = 0
 	}
-	sp := cfg.Seek
-	if sp == (perf.SeekParams{}) {
-		sp = perf.SeekParamsForPlatter(cfg.Layout.Config().Geometry.PlatterDiameter)
-	}
+	sp := perf.SeekParamsForPlatter(cfg.Layout.Config().Geometry.PlatterDiameter)
 	sm, err := perf.NewSeekModel(sp, cfg.Layout.Cylinders)
 	if err != nil {
 		return nil, err
@@ -186,13 +152,12 @@ func New(cfg Config) (*Disk, error) {
 		cfg:       cfg,
 		layout:    cfg.Layout,
 		seek:      sm,
-		cache:     newCache(cfg.CacheBytes, cfg.CacheSegments),
+		cache:     newCache(cfg.CacheBytes, DefaultCacheSegments),
 		rpm:       cfg.RPM,
 		remaps:    make(map[int64]int64),
 		sparePool: spares,
 	}
 	d.refreshRev()
-	d.busBytesPerSec = cfg.BusMBPerSec * units.MB
 	zones := cfg.Layout.Zones
 	d.zoneSPT = make([]zoneRate, len(zones))
 	for i, z := range zones {
@@ -282,13 +247,13 @@ func (d *Disk) Serve(r Request) (c Completion, err error) {
 	c.Request = r
 	c.Start = start
 	c.Parts.Queue = start - r.Arrival
-	c.Parts.Overhead = d.cfg.Overhead
-	t := start + d.cfg.Overhead
+	c.Parts.Overhead = DefaultOverhead
+	t := start + DefaultOverhead
 
 	if !r.Write && d.cache.lookup(r.LBN, r.Sectors, t) {
 		// Cache hit: only the bus transfer remains.
 		bus := time.Duration(float64(r.Sectors*units.SectorBytes) /
-			d.busBytesPerSec * float64(time.Second))
+			busBytesPerSec * float64(time.Second))
 		c.Parts.Transfer = bus
 		c.CacheHit = true
 		c.Finish = t + bus
@@ -394,7 +359,9 @@ func (d *Disk) transferTime(loc capacity.Location, sectors int) (time.Duration, 
 			break
 		}
 		// Advance to the next track: next surface, else next cylinder.
-		total += d.cfg.HeadSwitch
+		// Optimal skew is assumed, so the head switch is the whole cost:
+		// no rotational re-alignment is charged.
+		total += DefaultHeadSwitch
 		sec = 0
 		surf++
 		if surf >= d.layout.Surfaces {
@@ -503,7 +470,7 @@ func (d *Disk) positionCost(r Request, now time.Duration) float64 {
 		return float64(seekT)
 	}
 	// SPTF: seek plus rotational latency estimated at now+overhead+seek.
-	t := now + d.cfg.Overhead + seekT
+	t := now + DefaultOverhead + seekT
 	angleNow := frac(float64(t) / d.revF)
 	angleTarget := float64(loc.Sector) / d.zoneSPT[loc.Cylinder/d.cylsPerZone].sptF
 	wait := angleTarget - angleNow

@@ -85,7 +85,7 @@ func (d *Disk) spareCylinder() int { return d.layout.Cylinders - 1 }
 // remapPenalty is the extra positioning cost of visiting the spare area and
 // returning: twice the seek from the access cylinder plus a settle.
 func (d *Disk) remapPenalty(fromCyl int) time.Duration {
-	return 2*d.seek.SeekTime(d.spareCylinder()-fromCyl) + d.cfg.Settle
+	return 2*d.seek.SeekTime(d.spareCylinder()-fromCyl) + DefaultSettle
 }
 
 // touchesRemap reports whether any sector of [lbn, lbn+sectors) is on the
@@ -122,7 +122,7 @@ func (d *Disk) applyFaults(f AccessFault, r Request, c *Completion, t time.Durat
 		return t, d.fail(t, "injected failure")
 	}
 	if f.Retries > 0 {
-		extra := time.Duration(f.Retries) * (period + d.cfg.Settle)
+		extra := time.Duration(f.Retries) * (period + DefaultSettle)
 		c.Parts.Rotation += extra
 		c.Retries += f.Retries
 		c.Retried = true

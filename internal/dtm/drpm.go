@@ -27,19 +27,9 @@ type DRPM struct {
 	// Levels are the available spindle speeds, any order (sorted on Run).
 	Levels []units.RPM
 
-	// StepDownAt is the air temperature that forces a step down
-	// (0 = envelope - 0.05).
-	StepDownAt units.Celsius
-
 	// StepUpBelow is the air temperature that allows a step up
 	// (0 = envelope - 2).
 	StepUpBelow units.Celsius
-
-	// Ambient is the external temperature (0 = default).
-	Ambient units.Celsius
-
-	// Transition is the time one level change takes (0 = 2 s).
-	Transition time.Duration
 
 	// Initial optionally warm-starts the thermal state.
 	Initial *thermal.State
@@ -69,12 +59,8 @@ type DRPMResult struct {
 	Elapsed time.Duration
 }
 
-func (p *DRPM) stepDownAt() units.Celsius {
-	if p.StepDownAt == 0 {
-		return thermal.Envelope - 0.05
-	}
-	return p.StepDownAt
-}
+// drpmStepDownAt is the air temperature that forces DRPM one level down.
+const drpmStepDownAt = thermal.Envelope - 0.05
 
 func (p *DRPM) stepUpBelow() units.Celsius {
 	if p.StepUpBelow == 0 {

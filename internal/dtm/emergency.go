@@ -60,9 +60,9 @@ type Escalation struct {
 	// be the disk's initial RPM.
 	Levels []units.RPM
 
-	// StepAt, ThrottleAt and OfflineAt are the stage onset temperatures
-	// (0 = envelope, envelope+2, envelope+5).
-	StepAt, ThrottleAt, OfflineAt units.Celsius
+	// ThrottleAt and OfflineAt are the onset temperatures of stages 2 and
+	// 3 (0 = envelope+2, envelope+5). Stage 1 sets in at thermal.Envelope.
+	ThrottleAt, OfflineAt units.Celsius
 
 	// Hysteresis is how far the drive must cool below a stage's onset
 	// before the controller de-escalates past it (0 = 1 C). It is the
@@ -74,24 +74,13 @@ type Escalation struct {
 	// the rungs re-arm independently instead of sharing one Hysteresis
 	// line. A zero band keeps the historic behaviour for that stage:
 	// engage exactly at onset, release Hysteresis below it (the offline
-	// stage's historic release is StepAt - Hysteresis, deep enough to walk
-	// back down the whole ladder).
+	// stage's historic release is thermal.Envelope - Hysteresis, deep
+	// enough to walk back down the whole ladder).
 	StepBand, ThrottleBand, OfflineBand Band
 
 	// OverAt is the threshold the TimeOverThreshold integral measures
 	// against (0 = thermal.Envelope).
 	OverAt units.Celsius
-
-	// FlapWindow is the re-arm window within which a stage engagement
-	// counts as a flap of that stage (0 = 5 s).
-	FlapWindow time.Duration
-
-	// Ambient is the external temperature (0 = default 28 C).
-	Ambient units.Celsius
-
-	// SpinTransition is one RPM change (0 = 2 s); spin-down/up for the
-	// offline stage each cost one transition too.
-	SpinTransition time.Duration
 
 	// Initial optionally warm-starts the thermal state.
 	Initial *thermal.State
@@ -123,7 +112,7 @@ type EscalationResult struct {
 	StepDowns, Throttles, Offlines int
 	ThrottledTime, OfflineTime     time.Duration
 
-	// Flaps counts stage engagements within FlapWindow of the same stage's
+	// Flaps counts stage engagements within 5 s of the same stage's
 	// previous release; TimeOverThreshold integrates sim time spent at or
 	// above OverAt. Both are pure observations of the existing control
 	// loop.
@@ -141,10 +130,7 @@ type EscalationResult struct {
 }
 
 func (e *Escalation) stageTemps() (step, throttle, offline units.Celsius) {
-	step, throttle, offline = e.StepAt, e.ThrottleAt, e.OfflineAt
-	if step == 0 {
-		step = thermal.Envelope
-	}
+	step, throttle, offline = thermal.Envelope, e.ThrottleAt, e.OfflineAt
 	if throttle == 0 {
 		throttle = thermal.Envelope + 2
 	}
@@ -165,8 +151,9 @@ func (e *Escalation) hysteresis() units.Celsius {
 // per-stage bands, falling back to the shared hysteresis where a band is
 // unset. Defaults reproduce the historic single-band ladder exactly:
 // engage at stage onset, release Hysteresis below it — except the offline
-// stage, whose historic release line is StepAt - Hysteresis (cool enough to
-// walk back down the whole ladder in one excursion).
+// stage, whose historic release line is the step stage's onset less
+// Hysteresis (cool enough to walk back down the whole ladder in one
+// excursion).
 func (e *Escalation) stageLines() (stepEngage, stepRelease, thrEngage, thrRelease, offEngage, offRelease units.Celsius) {
 	stepAt, throttleAt, offlineAt := e.stageTemps()
 	hys := e.hysteresis()

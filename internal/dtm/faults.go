@@ -36,10 +36,6 @@ type ThermalFaults struct {
 	// Rand is the injector's private, explicitly seeded randomness source.
 	Rand *rand.Rand
 
-	// MaxRetries is how many consecutive off-track retries the firmware
-	// attempts before declaring the sector unrecoverable (0 = 4).
-	MaxRetries int
-
 	// TimeAcceleration scales wall-clock exposure when drawing failures,
 	// so short simulations can observe events whose natural timescale is
 	// months (0 = 1, the physical rate).
@@ -59,12 +55,9 @@ func NewThermalFaults(off OffTrackModel, rel reliability.Model, temp func(time.D
 	}
 }
 
-func (f *ThermalFaults) maxRetries() int {
-	if f.MaxRetries == 0 {
-		return 4
-	}
-	return f.MaxRetries
-}
+// maxRetries is how many consecutive off-track retries the firmware
+// attempts before declaring the sector unrecoverable.
+const maxRetries = 4
 
 func (f *ThermalFaults) accel() float64 {
 	if f.TimeAcceleration == 0 {
@@ -75,7 +68,7 @@ func (f *ThermalFaults) accel() float64 {
 
 // Access implements disksim.FaultInjector. The retry count is the run
 // length of successive off-track draws at the current temperature's
-// probability; a run that exhausts MaxRetries and would go off-track once
+// probability; a run that exhausts maxRetries and would go off-track once
 // more is an unrecoverable sector. Disk failure is drawn from the
 // accelerated hazard accumulated since the previous access.
 func (f *ThermalFaults) Access(now time.Duration, _ disksim.Request) disksim.AccessFault {
@@ -95,10 +88,10 @@ func (f *ThermalFaults) Access(now time.Duration, _ disksim.Request) disksim.Acc
 	}
 
 	p := f.OffTrack.ProbAt(t)
-	for out.Retries < f.maxRetries() && f.Rand.Float64() < p {
+	for out.Retries < maxRetries && f.Rand.Float64() < p {
 		out.Retries++
 	}
-	if out.Retries == f.maxRetries() && f.Rand.Float64() < p {
+	if out.Retries == maxRetries && f.Rand.Float64() < p {
 		out.Unrecoverable = true
 	}
 	return out
@@ -112,5 +105,5 @@ func BindSteady(t units.Celsius) func(time.Duration) units.Celsius {
 
 // String summarises the injector configuration.
 func (f *ThermalFaults) String() string {
-	return fmt.Sprintf("ThermalFaults{maxRetries=%d accel=%.0fx}", f.maxRetries(), f.accel())
+	return fmt.Sprintf("ThermalFaults{maxRetries=%d accel=%.0fx}", maxRetries, f.accel())
 }

@@ -35,7 +35,6 @@ import (
 type loop struct {
 	disk *disksim.Disk
 	ins  *Instruments
-	amb  units.Celsius
 	rpm  units.RPM // spindle speed the transient sees outside pauses
 
 	tr    *thermal.Transient
@@ -72,17 +71,14 @@ type loop struct {
 }
 
 // newLoop starts a loop for disk at its current speed, with the drive
-// soaked at ambient (0 = the default 28 C) unless initial is given.
-func newLoop(disk *disksim.Disk, model *thermal.Model, initial *thermal.State, amb units.Celsius, ins *Instruments) *loop {
-	if amb == 0 {
-		amb = thermal.DefaultAmbient
-	}
-	start := thermal.Uniform(amb)
+// soaked at thermal.DefaultAmbient unless initial is given.
+func newLoop(disk *disksim.Disk, model *thermal.Model, initial *thermal.State, ins *Instruments) *loop {
+	start := thermal.Uniform(thermal.DefaultAmbient)
 	if initial != nil {
 		start = *initial
 	}
 	return &loop{
-		disk: disk, ins: ins, amb: amb, rpm: disk.RPM(),
+		disk: disk, ins: ins, rpm: disk.RPM(),
 		tr:           model.NewTransient(start),
 		over:         overTracker{limit: thermal.Envelope},
 		maxT:         start.Air,
@@ -91,17 +87,9 @@ func newLoop(disk *disksim.Disk, model *thermal.Model, initial *thermal.State, a
 	}
 }
 
-// orEnvelope resolves an unset (zero) threshold to thermal.Envelope.
-func orEnvelope(t units.Celsius) units.Celsius {
-	if t == 0 {
-		return thermal.Envelope
-	}
-	return t
-}
-
 // load is the operating point at the current speed and the given duty.
 func (l *loop) load(duty float64) thermal.Load {
-	return thermal.Load{RPM: l.rpm, VCMDuty: duty, Ambient: l.amb}
+	return thermal.Load{RPM: l.rpm, VCMDuty: duty, Ambient: thermal.DefaultAmbient}
 }
 
 // air is the current internal air temperature.

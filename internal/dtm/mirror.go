@@ -23,17 +23,6 @@ type MirrorPolicy struct {
 	// Thermal are the members' thermal models.
 	Thermal [2]*thermal.Model
 
-	// SwitchAt is the internal air temperature at which reads leave a
-	// member (0 = envelope - 0.05).
-	SwitchAt units.Celsius
-
-	// ReturnBelow is the temperature a cooled member must reach before it
-	// is eligible again (0 = envelope - 1).
-	ReturnBelow units.Celsius
-
-	// Ambient is the external temperature (0 = default).
-	Ambient units.Celsius
-
 	// Initial optionally warm-starts both members' thermal state.
 	Initial *thermal.State
 }
@@ -56,26 +45,12 @@ type MirrorResult struct {
 	Elapsed time.Duration
 }
 
-func (p *MirrorPolicy) switchAt() units.Celsius {
-	if p.SwitchAt == 0 {
-		return thermal.Envelope - 0.05
-	}
-	return p.SwitchAt
-}
-
-func (p *MirrorPolicy) returnBelow() units.Celsius {
-	if p.ReturnBelow == 0 {
-		return thermal.Envelope - 1
-	}
-	return p.ReturnBelow
-}
-
-func (p *MirrorPolicy) ambient() units.Celsius {
-	if p.Ambient == 0 {
-		return thermal.DefaultAmbient
-	}
-	return p.Ambient
-}
+// Reads leave a member once its internal air reaches mirrorSwitchAt; a
+// cooled member is eligible again at or below mirrorReturnBelow.
+const (
+	mirrorSwitchAt    = thermal.Envelope - 0.05
+	mirrorReturnBelow = thermal.Envelope - 1
+)
 
 // Run services requests (sorted by arrival) under the steering policy.
 // Requests address the mirrored logical space (both disks share the layout).
@@ -86,7 +61,7 @@ func (p *MirrorPolicy) Run(reqs []disksim.Request) (MirrorResult, error) {
 	if p.Disks[0].Layout().TotalSectors() != p.Disks[1].Layout().TotalSectors() {
 		return MirrorResult{}, fmt.Errorf("dtm: mirror members differ in capacity")
 	}
-	amb := p.ambient()
+	const amb = thermal.DefaultAmbient
 	start0 := thermal.Uniform(amb)
 	if p.Initial != nil {
 		start0 = *p.Initial
@@ -127,8 +102,8 @@ func (p *MirrorPolicy) Run(reqs []disksim.Request) (MirrorResult, error) {
 
 		// Steering decision: if the active member is hot and the standby
 		// has cooled enough, switch roles.
-		if trs[active].State().Air >= p.switchAt() &&
-			trs[1-active].State().Air <= p.returnBelow() {
+		if trs[active].State().Air >= mirrorSwitchAt &&
+			trs[1-active].State().Air <= mirrorReturnBelow {
 			active = 1 - active
 			res.Switches++
 		}

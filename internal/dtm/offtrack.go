@@ -9,19 +9,21 @@ import (
 // paper's motivating failure mechanism ("high temperatures can cause
 // off-track errors due to thermal tilt of the disk stack and actuator") made
 // operational. At or below the envelope the probability is zero; above it,
-// it rises linearly to MaxProb at Envelope+Span as the stack's thermal tilt
-// eats the track misregistration budget.
+// it rises linearly to offTrackMaxProb at Envelope+offTrackSpan as the
+// stack's thermal tilt eats the track misregistration budget.
 type OffTrackModel struct {
 	// Envelope is the onset temperature (0 = thermal.Envelope).
 	Envelope units.Celsius
-
-	// Span is the temperature rise over which the probability saturates
-	// (0 = 10 C).
-	Span units.Celsius
-
-	// MaxProb is the saturated per-access retry probability (0 = 0.25).
-	MaxProb float64
 }
+
+const (
+	// offTrackSpan is the temperature rise over which the retry
+	// probability saturates.
+	offTrackSpan units.Celsius = 10
+
+	// offTrackMaxProb is the saturated per-access retry probability.
+	offTrackMaxProb = 0.25
+)
 
 func (m OffTrackModel) envelope() units.Celsius {
 	if m.Envelope == 0 {
@@ -30,29 +32,15 @@ func (m OffTrackModel) envelope() units.Celsius {
 	return m.Envelope
 }
 
-func (m OffTrackModel) span() units.Celsius {
-	if m.Span == 0 {
-		return 10
-	}
-	return m.Span
-}
-
-func (m OffTrackModel) maxProb() float64 {
-	if m.MaxProb == 0 {
-		return 0.25
-	}
-	return m.MaxProb
-}
-
 // ProbAt returns the per-access retry probability at a temperature.
 func (m OffTrackModel) ProbAt(t units.Celsius) float64 {
 	over := float64(t - m.envelope())
 	if over <= 0 {
 		return 0
 	}
-	f := over / float64(m.span())
+	f := over / float64(offTrackSpan)
 	if f > 1 {
 		f = 1
 	}
-	return f * m.maxProb()
+	return f * offTrackMaxProb
 }

@@ -29,25 +29,6 @@ type Controller struct {
 	// LowRPM is the cool-down speed for VCMAndRPM.
 	LowRPM units.RPM
 
-	// Envelope is the temperature that must never be exceeded
-	// (0 = thermal.Envelope).
-	Envelope units.Celsius
-
-	// Guard is how far below the envelope the controller begins throttling
-	// (default 0.05 C).
-	Guard units.Celsius
-
-	// Hysteresis is how far below the envelope the drive must cool before
-	// requests resume (default 0.5 C).
-	Hysteresis units.Celsius
-
-	// Ambient is the external temperature (0 = default 28 C).
-	Ambient units.Celsius
-
-	// SpinTransition is the time an RPM change takes in VCMAndRPM mode
-	// (default 2 s, in line with published two-speed drive data).
-	SpinTransition time.Duration
-
 	// Initial optionally sets the starting thermal state (nil = the drive
 	// soaked at ambient). Warm starts model a drive that has already been
 	// under load when the measured interval begins.
@@ -92,19 +73,13 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-func (c *Controller) guard() units.Celsius {
-	if c.Guard == 0 {
-		return 0.05
-	}
-	return c.Guard
-}
-
-func (c *Controller) hysteresis() units.Celsius {
-	if c.Hysteresis == 0 {
-		return 0.5
-	}
-	return c.Hysteresis
-}
+// The watermark Controller's lines: it begins throttling guard below
+// thermal.Envelope and resumes requests once the drive has cooled to
+// hysteresis below it.
+const (
+	guard      units.Celsius = 0.05
+	hysteresis units.Celsius = 0.5
+)
 
 // coolLimit caps one cooling pause.
 const coolLimit = 10 * time.Minute
@@ -151,19 +126,9 @@ type SlackRamp struct {
 	// (default envelope - 0.2 C).
 	DropAt units.Celsius
 
-	// Ambient is the external temperature (0 = default).
-	Ambient units.Celsius
-
-	// SpinTransition is the speed-change time (default 2 s).
-	SpinTransition time.Duration
-
 	// Initial optionally warm-starts the thermal state (nil = the drive
 	// soaked at ambient).
 	Initial *thermal.State
-
-	// OverAt is the threshold the TimeOverThreshold integral measures
-	// against (0 = thermal.Envelope).
-	OverAt units.Celsius
 
 	// FlapWindow is the re-arm window within which a boost counts as a
 	// flap when it follows the previous drop that closely (0 = 5 s).
@@ -195,7 +160,7 @@ type RampResult struct {
 	Transitions int
 
 	// Flaps counts boosts landing within FlapWindow of the previous drop;
-	// TimeOverThreshold integrates sim time at or above OverAt.
+	// TimeOverThreshold integrates sim time at or above thermal.Envelope.
 	Flaps             int
 	TimeOverThreshold time.Duration
 

@@ -169,10 +169,6 @@ type PredictiveController struct {
 	// LowRPM is the cool-down speed for VCMAndRPM.
 	LowRPM units.RPM
 
-	// Envelope is the temperature that must never be exceeded
-	// (0 = thermal.Envelope).
-	Envelope units.Celsius
-
 	// LeadTime is the prediction horizon: the predictive stage engages once
 	// the estimated time-to-limit drops to or below it (0 = 4 s).
 	LeadTime time.Duration
@@ -189,23 +185,8 @@ type PredictiveController struct {
 	// Engage 0.05, Release 0.5 — the watermark Controller's lines).
 	Reactive Band
 
-	// Ambient is the external temperature (0 = default 28 C).
-	Ambient units.Celsius
-
-	// SpinTransition is the time an RPM change takes in VCMAndRPM mode
-	// (default 2 s).
-	SpinTransition time.Duration
-
 	// Initial optionally warm-starts the thermal state.
 	Initial *thermal.State
-
-	// OverAt is the threshold the TimeOverThreshold integral measures
-	// against (0 = thermal.Envelope).
-	OverAt units.Celsius
-
-	// FlapWindow is the re-arm window within which a stage engagement
-	// counts as a flap of that stage (0 = 5 s).
-	FlapWindow time.Duration
 
 	// Faults, when non-nil, is installed on the disk with its Temp bound
 	// to the run's transient, as in Escalation.
@@ -237,9 +218,9 @@ type PredictiveResult struct {
 	ReactiveThrottles int
 	ThrottledTime     time.Duration
 
-	// Flaps counts stage engagements within FlapWindow of the same stage's
+	// Flaps counts stage engagements within 5 s of the same stage's
 	// previous release; TimeOverThreshold integrates sim time spent at or
-	// above OverAt.
+	// above thermal.Envelope.
 	Flaps             int
 	TimeOverThreshold time.Duration
 
@@ -291,29 +272,27 @@ func (pc *PredictiveController) run(ctx context.Context, eng *sim.Engine, src si
 		return PredictiveResult{}, fmt.Errorf("dtm: low speed %v must be below service speed %v", pc.LowRPM, pc.Disk.RPM())
 	}
 	predB := pc.Predictive.orDefault(3, 3.5)
-	reactB := pc.Reactive.orDefault(0.05, 0.5)
+	reactB := pc.Reactive.orDefault(guard, hysteresis)
 	if predB.Release < predB.Engage {
 		return PredictiveResult{}, fmt.Errorf("dtm: predictive release margin %v inside engage margin %v", predB.Release, predB.Engage)
 	}
 	if reactB.Release < reactB.Engage {
 		return PredictiveResult{}, fmt.Errorf("dtm: reactive release margin %v inside engage margin %v", reactB.Release, reactB.Engage)
 	}
-	env := orEnvelope(pc.Envelope)
 	lead := pc.leadTime()
-	predEngageAt, predReleaseAt := predB.engageAt(env), predB.releaseAt(env)
-	reactEngageAt, reactReleaseAt := reactB.engageAt(env), reactB.releaseAt(env)
+	predEngageAt, predReleaseAt := predB.engageAt(thermal.Envelope), predB.releaseAt(thermal.Envelope)
+	reactEngageAt, reactReleaseAt := reactB.engageAt(thermal.Envelope), reactB.releaseAt(thermal.Envelope)
 
-	l := newLoop(pc.Disk, pc.Thermal, pc.Initial, pc.Ambient, pc.Ins)
-	l.over.limit = orEnvelope(pc.OverAt)
+	l := newLoop(pc.Disk, pc.Thermal, pc.Initial, pc.Ins)
 	l.faults, l.graceful = pc.Faults, true
 	coolDown := l.load(0)
 	var spin time.Duration
 	if pc.Mode == VCMAndRPM {
 		coolDown.RPM = pc.LowRPM
-		spin = 2 * spinOrDefault(pc.SpinTransition)
+		spin = 2 * spinTransition
 	}
 	pred := NewPredictor(pc.Window)
-	predFlaps, reactFlaps := newFlapTracker(pc.FlapWindow), newFlapTracker(pc.FlapWindow)
+	predFlaps, reactFlaps := newFlapTracker(0), newFlapTracker(0)
 
 	var res PredictiveResult
 	var predErrSum float64
@@ -342,7 +321,7 @@ func (pc *PredictiveController) run(ctx context.Context, eng *sim.Engine, src si
 			pred.Reset()
 			l.observe()
 		} else if air >= predEngageAt {
-			if ttl, ok := pred.TimeToLimit(env); ok && ttl <= lead {
+			if ttl, ok := pred.TimeToLimit(thermal.Envelope); ok && ttl <= lead {
 				// Predictive stage: the trajectory crosses the envelope
 				// within the lead time — pause now, while still below it.
 				res.EarlyThrottles++

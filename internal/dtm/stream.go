@@ -15,14 +15,9 @@ import (
 	"repro/internal/units"
 )
 
-// spinOrDefault resolves an unset (zero) spindle-speed transition time to
-// the default 2 s, in line with published two-speed drive data.
-func spinOrDefault(d time.Duration) time.Duration {
-	if d == 0 {
-		return 2 * time.Second
-	}
-	return d
-}
+// spinTransition is the time one spindle-speed change takes, in line with
+// published two-speed drive data.
+const spinTransition = 2 * time.Second
 
 // RunStream services requests pulled lazily from src under the thermal
 // policy, pushing each completion to sink as it happens. The source must
@@ -52,16 +47,14 @@ func (c *Controller) run(ctx context.Context, eng *sim.Engine, src sim.Source[di
 	if c.Mode == VCMAndRPM && (c.LowRPM <= 0 || c.LowRPM >= c.Disk.RPM()) {
 		return Result{}, fmt.Errorf("dtm: low speed %v must be below service speed %v", c.LowRPM, c.Disk.RPM())
 	}
-	env := orEnvelope(c.Envelope)
-	guardAt := env - c.guard()
-	resumeAt := env - c.hysteresis()
+	const guardAt, resumeAt = thermal.Envelope - guard, thermal.Envelope - hysteresis
 
-	l := newLoop(c.Disk, c.Thermal, c.Initial, c.Ambient, c.Ins)
+	l := newLoop(c.Disk, c.Thermal, c.Initial, c.Ins)
 	coolDown := l.load(0)
 	var spin time.Duration
 	if c.Mode == VCMAndRPM {
 		coolDown.RPM = c.LowRPM
-		spin = 2 * spinOrDefault(c.SpinTransition) // down and back up
+		spin = 2 * spinTransition // down and back up
 	}
 	var res Result
 	l.decide = func() {
@@ -116,10 +109,8 @@ func (s *SlackRamp) run(ctx context.Context, eng *sim.Engine, src sim.Source[dis
 	if dropAt == 0 {
 		dropAt = thermal.Envelope - 0.2
 	}
-	trans := spinOrDefault(s.SpinTransition)
 
-	l := newLoop(s.Disk, s.Thermal, s.Initial, s.Ambient, s.Ins)
-	l.over.limit = orEnvelope(s.OverAt)
+	l := newLoop(s.Disk, s.Thermal, s.Initial, s.Ins)
 	l.faults, l.graceful = s.Faults, true
 	flaps := newFlapTracker(s.FlapWindow)
 	var res RampResult
@@ -131,11 +122,11 @@ func (s *SlackRamp) run(ctx context.Context, eng *sim.Engine, src sim.Source[dis
 			boosted = true
 			res.Transitions++
 			flaps.engage(l.clock)
-			l.shift(s.BoostRPM, trans)
+			l.shift(s.BoostRPM, spinTransition)
 		case boosted && air >= dropAt:
 			boosted = false
 			res.Transitions++
-			l.shift(base, trans)
+			l.shift(base, spinTransition)
 			flaps.release(l.clock)
 		}
 	}
@@ -187,22 +178,21 @@ func (p *DRPM) run(ctx context.Context, eng *sim.Engine, src sim.Source[disksim.
 	if level < 0 {
 		return DRPMResult{}, fmt.Errorf("dtm: disk speed %v is not a configured level", p.Disk.RPM())
 	}
-	trans := spinOrDefault(p.Transition)
 
-	l := newLoop(p.Disk, p.Thermal, p.Initial, p.Ambient, p.Ins)
+	l := newLoop(p.Disk, p.Thermal, p.Initial, p.Ins)
 	res := DRPMResult{TimeAtLevel: make(map[units.RPM]time.Duration, len(levels))}
 	l.advanced = func(d time.Duration) { res.TimeAtLevel[l.rpm] += d }
 	l.decide = func() {
 		// Walk the ladder between requests.
 		switch air := l.air(); {
-		case air >= p.stepDownAt() && level > 0:
+		case air >= drpmStepDownAt && level > 0:
 			level--
 			res.Transitions++
-			l.shift(levels[level], trans)
+			l.shift(levels[level], spinTransition)
 		case air <= p.stepUpBelow() && level < len(levels)-1:
 			level++
 			res.Transitions++
-			l.shift(levels[level], trans)
+			l.shift(levels[level], spinTransition)
 		}
 	}
 	if err := l.run(ctx, eng, src, sink, p.SampleEvery); err != nil {
@@ -243,14 +233,14 @@ func (e *Escalation) run(ctx context.Context, eng *sim.Engine, src sim.Source[di
 		}
 	}
 	stepEngage, stepRelease, thrEngage, thrRelease, offEngage, offRelease := e.stageLines()
-	trans := spinOrDefault(e.SpinTransition)
 
-	l := newLoop(e.Disk, e.Thermal, e.Initial, e.Ambient, e.Ins)
-	l.over.limit = orEnvelope(e.OverAt)
+	l := newLoop(e.Disk, e.Thermal, e.Initial, e.Ins)
+	if e.OverAt != 0 {
+		l.over.limit = e.OverAt
+	}
 	l.faults, l.graceful = e.Faults, true
-	offLoad := thermal.Load{RPM: 0, VCMDuty: 0, Ambient: l.amb}
-	fw := e.FlapWindow
-	stepFlaps, thrFlaps, offFlaps := newFlapTracker(fw), newFlapTracker(fw), newFlapTracker(fw)
+	offLoad := thermal.Load{RPM: 0, VCMDuty: 0, Ambient: thermal.DefaultAmbient}
+	stepFlaps, thrFlaps, offFlaps := newFlapTracker(0), newFlapTracker(0), newFlapTracker(0)
 	var res EscalationResult
 	level := 0 // index into levels
 	l.decide = func() {
@@ -262,7 +252,7 @@ func (e *Escalation) run(ctx context.Context, eng *sim.Engine, src sim.Source[di
 			// Stage 3: spin down and go offline until cooled.
 			res.Offlines++
 			offFlaps.engage(l.clock)
-			p := l.pause("dtm.offline", offLoad, offlineCoolLimit, offRelease, 2*trans) // spin-down and spin-up
+			p := l.pause("dtm.offline", offLoad, offlineCoolLimit, offRelease, 2*spinTransition) // spin-down and spin-up
 			res.OfflineTime += p
 			e.Ins.offline(p)
 			air = l.air()
@@ -286,11 +276,11 @@ func (e *Escalation) run(ctx context.Context, eng *sim.Engine, src sim.Source[di
 			level++
 			res.StepDowns++
 			stepFlaps.engage(l.clock)
-			l.shift(levels[level], trans)
+			l.shift(levels[level], spinTransition)
 		case air <= stepRelease && level > 0:
 			// De-escalate one step once the drive has cooled.
 			level--
-			l.shift(levels[level], trans)
+			l.shift(levels[level], spinTransition)
 			stepFlaps.release(l.clock)
 		}
 	}

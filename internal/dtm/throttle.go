@@ -56,31 +56,11 @@ type ThrottleExperiment struct {
 
 	// Mode selects the mechanism.
 	Mode ThrottleMode
-
-	// Ambient is the external temperature (0 = the default 28 C).
-	Ambient units.Celsius
-
-	// Envelope overrides the thermal envelope when nonzero.
-	Envelope units.Celsius
-}
-
-func (e ThrottleExperiment) ambient() units.Celsius {
-	if e.Ambient == 0 {
-		return thermal.DefaultAmbient
-	}
-	return e.Ambient
-}
-
-func (e ThrottleExperiment) envelope() units.Celsius {
-	if e.Envelope == 0 {
-		return thermal.Envelope
-	}
-	return e.Envelope
 }
 
 // coolLoad is the thermal operating point during throttling.
 func (e ThrottleExperiment) coolLoad() thermal.Load {
-	l := thermal.Load{RPM: e.RPM, VCMDuty: 0, Ambient: e.ambient()}
+	l := thermal.Load{RPM: e.RPM, VCMDuty: 0, Ambient: thermal.DefaultAmbient}
 	if e.Mode == VCMAndRPM {
 		l.RPM = e.LowRPM
 	}
@@ -89,7 +69,7 @@ func (e ThrottleExperiment) coolLoad() thermal.Load {
 
 // hotLoad is the full-activity operating point.
 func (e ThrottleExperiment) hotLoad() thermal.Load {
-	return thermal.Load{RPM: e.RPM, VCMDuty: 1, Ambient: e.ambient()}
+	return thermal.Load{RPM: e.RPM, VCMDuty: 1, Ambient: thermal.DefaultAmbient}
 }
 
 // Validate reports whether the experiment is meaningful: full activity must
@@ -103,7 +83,7 @@ func (e ThrottleExperiment) Validate() error {
 	if e.Mode == VCMAndRPM && (e.LowRPM <= 0 || e.LowRPM >= e.RPM) {
 		return fmt.Errorf("dtm: low speed %v must be below operating speed %v", e.LowRPM, e.RPM)
 	}
-	env := float64(e.envelope())
+	const env = float64(thermal.Envelope)
 	if hot := float64(m.SteadyState(e.hotLoad()).Air); hot <= env {
 		return fmt.Errorf("dtm: full activity steady state %.2f C within envelope %.2f C; nothing to throttle", hot, env)
 	}
@@ -136,8 +116,7 @@ func (e ThrottleExperiment) Ratio(tcool time.Duration) (RatioPoint, error) {
 	if err != nil {
 		return RatioPoint{}, err
 	}
-	env := e.envelope()
-	atEnvelope := func(s thermal.State) bool { return s.Air >= env }
+	atEnvelope := func(s thermal.State) bool { return s.Air >= thermal.Envelope }
 
 	// Start from the envelope, as the paper does: heat the drive from the
 	// cool-load steady state under full activity until the air first

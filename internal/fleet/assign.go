@@ -3,6 +3,7 @@ package fleet
 import (
 	"sort"
 
+	"repro/internal/thermal"
 	"repro/internal/units"
 )
 
@@ -22,6 +23,12 @@ const (
 	tagWrite   = 19
 )
 
+// Arrival rates, per second, of the hot and the cold streams.
+const (
+	hotRatePerS  float64 = 90
+	coldRatePerS float64 = 15
+)
+
 // buildStreams derives the fleet's stream population from the workload:
 // stream i's heat class is a pure function of (seed, i), never of
 // placement or shard.
@@ -29,9 +36,9 @@ func buildStreams(w Workload, n int) []streamSpec {
 	out := make([]streamSpec, n)
 	for i := range out {
 		hot := mixFloat(w.Seed, tagHot, int64(i)) < w.HotFraction
-		rate := w.ColdRatePerS
+		rate := coldRatePerS
 		if hot {
-			rate = w.HotRatePerS
+			rate = hotRatePerS
 		}
 		out[i] = streamSpec{id: i, rate: rate, hot: hot}
 	}
@@ -106,7 +113,7 @@ type chassisEnv struct {
 func buildEnvs(cfg Config, gens []*Generation) []chassisEnv {
 	t := cfg.Topology
 	envs := make([]chassisEnv, 0, t.Chassis())
-	room := cfg.Scenario.RoomInlet
+	const room = thermal.DefaultAmbient
 	r := cfg.Scenario.Recirculation
 	index := 0
 	for rack := 0; rack < t.Racks; rack++ {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/thermal"
 	"repro/internal/units"
 )
 
@@ -80,12 +79,9 @@ func (f *CoolingFailure) affects(rack int) bool {
 	return f != nil && f.Duration > 0 && (f.Rack < 0 || f.Rack == rack)
 }
 
-// Scenario sets the room-level thermal knobs.
+// Scenario sets the room-level thermal knobs. The cold-aisle supply is
+// always the paper's 28 C default ambient (thermal.DefaultAmbient).
 type Scenario struct {
-	// RoomInlet is the cold-aisle supply temperature (0 = the paper's
-	// 28 C default ambient).
-	RoomInlet units.Celsius
-
 	// AirflowCFM is the per-chassis airflow (0 = 30 CFM).
 	AirflowCFM float64
 
@@ -99,18 +95,15 @@ type Scenario struct {
 }
 
 // Workload shapes the per-drive request streams: every drive gets one
-// seeded stream; a HotFraction of streams run at HotRatePerS and the rest
-// at ColdRatePerS, Poisson arrivals, 8-sector requests, 30% writes.
+// seeded stream; a HotFraction of streams run at hotRatePerS and the rest
+// at coldRatePerS, Poisson arrivals, 8-sector requests, 30% writes.
 type Workload struct {
 	// RequestsPerDrive is the stream length (0 = 40).
 	RequestsPerDrive int
 
-	// HotFraction in [0,1] is the share of streams that are hot (0 with
-	// HotRatePerS also 0 = 0.25).
+	// HotFraction in [0,1] is the share of streams that are hot
+	// (0 = 0.25).
 	HotFraction float64
-
-	HotRatePerS  float64 // arrivals/s for hot streams (0 = 90)
-	ColdRatePerS float64 // arrivals/s for cold streams (0 = 15)
 
 	// Seed drives every stream's arrival/address sequence and the
 	// hot/cold assignment. The same seed replays the identical fleet.
@@ -163,10 +156,6 @@ type Config struct {
 	// 1 = sequential). Every worker count produces identical output.
 	Workers int
 
-	// RebuildWindow is the repair time assumed by the MTTDL and
-	// rebuild-exposure scores (0 = 6h).
-	RebuildWindow time.Duration
-
 	// Metrics, when non-nil, receives live fleet counters via
 	// internal/obs. Purely observational: results are identical with or
 	// without it.
@@ -174,23 +163,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Scenario.RoomInlet == 0 {
-		c.Scenario.RoomInlet = thermal.DefaultAmbient
-	}
 	if c.Scenario.AirflowCFM == 0 {
 		c.Scenario.AirflowCFM = 30
 	}
 	if c.Workload.RequestsPerDrive == 0 {
 		c.Workload.RequestsPerDrive = 40
 	}
-	if c.Workload.HotFraction == 0 && c.Workload.HotRatePerS == 0 {
+	if c.Workload.HotFraction == 0 {
 		c.Workload.HotFraction = 0.25
-	}
-	if c.Workload.HotRatePerS == 0 {
-		c.Workload.HotRatePerS = 90
-	}
-	if c.Workload.ColdRatePerS == 0 {
-		c.Workload.ColdRatePerS = 15
 	}
 	if c.Workload.Seed == 0 {
 		c.Workload.Seed = 1
@@ -203,9 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.GenYears) == 0 {
 		c.GenYears = []int{2002, 2003, 2004, 2005}
-	}
-	if c.RebuildWindow == 0 {
-		c.RebuildWindow = 6 * time.Hour
 	}
 	return c
 }
@@ -242,8 +219,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: %d requests per drive", w.RequestsPerDrive)
 	case w.HotFraction < 0 || w.HotFraction > 1:
 		return fmt.Errorf("fleet: hot fraction %g outside [0,1]", w.HotFraction)
-	case w.HotRatePerS <= 0 || w.ColdRatePerS <= 0:
-		return fmt.Errorf("fleet: non-positive request rate")
 	}
 	if len(c.GenYears) == 0 {
 		return fmt.Errorf("fleet: no drive generations")

@@ -18,6 +18,10 @@ import (
 // 100k-drive fleet never holds more than a few racks of live disk state.
 const racksPerWindow = 4
 
+// rebuildWindow is the repair time the MTTDL and rebuild-exposure scores
+// assume.
+const rebuildWindow = 6 * time.Hour
+
 // RackSummary is the streaming unit of fleet output: one rack's merged
 // aggregates, emitted as soon as the rack's chassis shards complete (in
 // rack order, regardless of worker count).
@@ -157,8 +161,8 @@ func Run(ctx context.Context, cfg Config, sink Sink) (Summary, error) {
 			effT := rackExp.EffectiveTemperature()
 			rs.EffectiveTempC = float64(effT)
 			rs.EffectiveAFR = rackExp.EffectiveAFR()
-			rs.MTTDLHours = raid.MTTDL(model, effT, t.SlotsPerChassis, cfg.RebuildWindow).Hours()
-			rs.RebuildRisk = raid.RebuildRisk(model, effT, t.SlotsPerChassis-1, cfg.RebuildWindow)
+			rs.MTTDLHours = raid.MTTDL(model, effT, t.SlotsPerChassis, rebuildWindow).Hours()
+			rs.RebuildRisk = raid.RebuildRisk(model, effT, t.SlotsPerChassis-1, rebuildWindow)
 
 			latency.Merge(&rackLat)
 			exposure.Merge(rackExp)

@@ -39,10 +39,10 @@ type Options struct {
 	// the error that lost them), and records kept/dropped per compaction.
 	OnAppend  func(bytes int, err error)
 	OnCompact func(kept, dropped int, err error)
-
-	// MaxBatch caps how many pending appends share one fsync. Default 64.
-	MaxBatch int
 }
+
+// maxBatch caps how many pending appends share one fsync.
+const maxBatch = 64
 
 // Journal is an open log. Append is safe for concurrent use; every call
 // returns only after its record is fsync-durable (concurrent appends share
@@ -86,9 +86,6 @@ const logName = "journal.log"
 // record, truncates any torn tail, and readies the log for appends. The
 // returned records are in append order.
 func Open(dir string, opts Options) (*Journal, []Record, error) {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -230,7 +227,7 @@ func (j *Journal) committer() {
 		}
 		batch := []request{req}
 	fill:
-		for len(batch) < j.opts.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case next, ok := <-j.ch:
 				if !ok {

@@ -18,21 +18,14 @@ import (
 type SpinDownPolicy struct {
 	// IdleTimeout is how long the disk waits before spinning down.
 	IdleTimeout time.Duration
-
-	// SpinUpTime is the restart delay (0 = 10 s, server-class).
-	SpinUpTime time.Duration
-
-	// SpinUpEnergy is the restart energy cost (0 = 2x idle power over the
-	// spin-up time, the usual inrush approximation).
-	SpinUpEnergy Joules
 }
 
-func (p SpinDownPolicy) spinUpTime() time.Duration {
-	if p.SpinUpTime == 0 {
-		return 10 * time.Second
-	}
-	return p.SpinUpTime
-}
+// spinUpTime is the restart delay of a server-class drive.
+const spinUpTime = 10 * time.Second
+
+// spinUpEnergy is the restart energy cost: twice the idle power over the
+// spin-up time, the usual inrush approximation.
+func spinUpEnergy(idleP units.Watts) Joules { return Energy(2*idleP, spinUpTime) }
 
 // SpinDownResult is the offline what-if evaluation of the policy over a
 // completed trace.
@@ -84,10 +77,7 @@ func (m *Model) EvaluateSpinDown(rpm units.RPM, comps []disksim.Completion, p Sp
 	idleP := m.Idle(rpm).Total()
 	res.Baseline = Energy(idleP, span) // seek energy identical in both cases; excluded
 
-	spinUpE := p.SpinUpEnergy
-	if spinUpE == 0 {
-		spinUpE = Energy(2*idleP, p.spinUpTime())
-	}
+	spinUpE := spinUpEnergy(idleP)
 
 	saved := Joules(0)
 	for i := 1; i < len(sorted); i++ {
@@ -99,7 +89,7 @@ func (m *Model) EvaluateSpinDown(rpm units.RPM, comps []disksim.Completion, p Sp
 		res.SpinDowns++
 		res.DownTime += down
 		res.DelayedRequests++
-		res.AddedLatency += p.spinUpTime()
+		res.AddedLatency += spinUpTime
 		// Energy saved while down, minus the standby floor that keeps
 		// drawing, minus the restart cost.
 		saved += Energy(idleP-StandbyPower, down) - spinUpE
@@ -109,13 +99,11 @@ func (m *Model) EvaluateSpinDown(rpm units.RPM, comps []disksim.Completion, p Sp
 }
 
 // BreakEvenIdle returns the minimum idle gap for which spinning down saves
-// energy at all — the textbook break-even threshold.
+// energy at all — the textbook break-even threshold. It does not depend on
+// the policy's idle timeout.
 func (m *Model) BreakEvenIdle(rpm units.RPM, p SpinDownPolicy) time.Duration {
 	idleP := m.Idle(rpm).Total()
-	spinUpE := p.SpinUpEnergy
-	if spinUpE == 0 {
-		spinUpE = Energy(2*idleP, p.spinUpTime())
-	}
+	spinUpE := spinUpEnergy(idleP)
 	rate := float64(idleP - StandbyPower) // W saved per second down
 	if rate <= 0 {
 		return time.Duration(1<<63 - 1)

@@ -84,12 +84,9 @@ type RecoveryConfig struct {
 	Temp units.Celsius
 
 	// RebuildMBPerSec is the spare-reconstruction rate
-	// (0 = DefaultRebuildMBPerSec).
+	// (0 = DefaultRebuildMBPerSec). Degraded-read reconstruction compute
+	// costs DefaultXORPerSector per sector.
 	RebuildMBPerSec float64
-
-	// XORPerSector prices degraded-read reconstruction compute
-	// (0 = DefaultXORPerSector).
-	XORPerSector time.Duration
 }
 
 func (c RecoveryConfig) rebuildRate() float64 {
@@ -97,13 +94,6 @@ func (c RecoveryConfig) rebuildRate() float64 {
 		return DefaultRebuildMBPerSec
 	}
 	return c.RebuildMBPerSec
-}
-
-func (c RecoveryConfig) xorPerSector() time.Duration {
-	if c.XORPerSector == 0 {
-		return DefaultXORPerSector
-	}
-	return c.XORPerSector
 }
 
 // rebuild tracks one in-flight spare reconstruction. The frontier advances
@@ -459,7 +449,7 @@ func (s *RecoverySession) Serve(r Request) (Completion, error) {
 			continue // re-issue against the survivors
 		}
 		if ds.xorSectors > 0 {
-			finish += time.Duration(ds.xorSectors) * s.cfg.xorPerSector()
+			finish += time.Duration(ds.xorSectors) * DefaultXORPerSector
 		}
 		if s.v.writeBack > 0 && r.Write {
 			finish = r.Arrival + s.v.writeBack

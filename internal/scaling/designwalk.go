@@ -50,18 +50,9 @@ type WalkStep struct {
 // WalkConfig parameterises the walk.
 type WalkConfig struct {
 	FirstYear, LastYear int
-	// Sizes are the available platter sizes, largest first
-	// (default 2.6", 2.1", 1.6").
-	Sizes []units.Inches
-	// StartSize and StartPlatters seed the first year (defaults 2.6", 1).
-	StartSize     units.Inches
-	StartPlatters int
-	// MaxPlatters bounds step 4 (default 4).
-	MaxPlatters int
-	// Trend supplies densities (zero value = DefaultTrend()).
-	Trend Trend
-	// Zones is the ZBR zone count (0 = RoadmapZones).
-	Zones int
+	// StartSize seeds the first year's platter size (default 2.6"); the
+	// first year has one platter.
+	StartSize units.Inches
 	// Workers bounds the per-year candidate evaluation fan-out
 	// (0 = parallel.Default(); 1 = sequential). The walk itself stays
 	// year-sequential — each year's design depends on the last — but the
@@ -78,26 +69,14 @@ func (c WalkConfig) withDefaults() WalkConfig {
 	if c.LastYear == 0 {
 		c.LastYear = 2012
 	}
-	if len(c.Sizes) == 0 {
-		c.Sizes = []units.Inches{2.6, 2.1, 1.6}
-	}
 	if c.StartSize == 0 {
-		c.StartSize = c.Sizes[0]
-	}
-	if c.StartPlatters == 0 {
-		c.StartPlatters = 1
-	}
-	if c.MaxPlatters == 0 {
-		c.MaxPlatters = 4
-	}
-	if (c.Trend == Trend{}) {
-		c.Trend = DefaultTrend()
-	}
-	if c.Zones == 0 {
-		c.Zones = RoadmapZones
+		c.StartSize = 2.6
 	}
 	return c
 }
+
+// walkMaxPlatters bounds step 4's platter additions.
+const walkMaxPlatters = 4
 
 // candidate evaluates one (size, platters) option in one year.
 type candidate struct {
@@ -114,6 +93,10 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 	if cfg.LastYear < cfg.FirstYear {
 		return nil, fmt.Errorf("scaling: year range [%d,%d] inverted", cfg.FirstYear, cfg.LastYear)
 	}
+	// The available platter sizes, largest first, and the paper's
+	// density trend.
+	sizes := []units.Inches{2.6, 2.1, 1.6}
+	trend := DefaultTrend()
 
 	// Envelope speeds depend only on geometry; cache them. The mutex makes
 	// the cache safe under the parallel candidate scans (candidates in one
@@ -144,8 +127,8 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 
 	build := func(year int, size units.Inches, platters int) (candidate, error) {
 		g := geometry.Drive{PlatterDiameter: size, Platters: platters, FormFactor: geometry.FormFactor35}
-		bpi, tpi := cfg.Trend.Densities(year)
-		layout, err := capacity.New(capacity.Config{Geometry: g, BPI: bpi, TPI: tpi, Zones: cfg.Zones})
+		bpi, tpi := trend.Densities(year)
+		layout, err := capacity.New(capacity.Config{Geometry: g, BPI: bpi, TPI: tpi, Zones: RoadmapZones})
 		if err != nil {
 			return candidate{}, err
 		}
@@ -171,7 +154,7 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 	}
 
 	sizeIndex := func(s units.Inches) int {
-		for i, v := range cfg.Sizes {
+		for i, v := range sizes {
 			if v == s {
 				return i
 			}
@@ -179,7 +162,7 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 		return -1
 	}
 
-	size, platters := cfg.StartSize, cfg.StartPlatters
+	size, platters := cfg.StartSize, 1
 	var lastCapacity units.Bytes
 	var steps []WalkStep
 
@@ -202,7 +185,7 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 			if idx < 0 {
 				return nil, fmt.Errorf("scaling: size %v not in the candidate set", size)
 			}
-			smaller, err := parallel.Map(cfg.Workers, cfg.Sizes[idx+1:], func(_ int, s units.Inches) (candidate, error) {
+			smaller, err := parallel.Map(cfg.Workers, sizes[idx+1:], func(_ int, s units.Inches) (candidate, error) {
 				return build(year, s, platters)
 			})
 			if err != nil {
@@ -221,7 +204,7 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 			// extra cooling the taller stack needs (the paper's "shift into
 			// the 2-platter system ... increase the cooling requirements").
 			if found && lastCapacity > 0 && chosen.layout.DeratedCapacity() < lastCapacity &&
-				chosen.platters < cfg.MaxPlatters {
+				chosen.platters < walkMaxPlatters {
 				grown, err := build(year, chosen.size, chosen.platters+1)
 				if err != nil {
 					return nil, err
@@ -249,7 +232,7 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 				// remaining options (evaluated concurrently, reduced in
 				// order so ties resolve identically to the sequential scan).
 				best := cur
-				cands, err := parallel.Map(cfg.Workers, cfg.Sizes[sizeIndex(size):], func(_ int, s units.Inches) (candidate, error) {
+				cands, err := parallel.Map(cfg.Workers, sizes[sizeIndex(size):], func(_ int, s units.Inches) (candidate, error) {
 					return build(year, s, platters)
 				})
 				if err != nil {
@@ -263,7 +246,7 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 				chosen = best
 				action = "off the roadmap; shipped fastest legal design"
 			}
-		} else if size != cfg.StartSize || platters != cfg.StartPlatters {
+		} else if size != cfg.StartSize || platters != 1 {
 			action = "carried configuration forward"
 		}
 

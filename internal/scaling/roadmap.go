@@ -35,9 +35,6 @@ type Config struct {
 	// sensitivity study).
 	FormFactor geometry.FormFactor
 
-	// Zones is the ZBR zone count (0 = RoadmapZones).
-	Zones int
-
 	// Trend projects the densities (zero value = DefaultTrend()).
 	Trend Trend
 
@@ -73,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Platters == 0 {
 		c.Platters = 1
-	}
-	if c.Zones == 0 {
-		c.Zones = RoadmapZones
 	}
 	if (c.Trend == Trend{}) {
 		c.Trend = DefaultTrend()
@@ -196,7 +190,7 @@ func Roadmap(cfg Config) ([]Point, error) {
 			Geometry: env.geom,
 			BPI:      bpi,
 			TPI:      tpi,
-			Zones:    cfg.Zones,
+			Zones:    RoadmapZones,
 		})
 		if err != nil {
 			return Point{}, fmt.Errorf("scaling: year %d size %v: %w", year, size, err)
@@ -258,7 +252,7 @@ func coolingBudget(cfg Config) (units.Celsius, error) {
 		FormFactor:      cfg.FormFactor,
 	}
 	bpi, tpi := cfg.Trend.Densities(cfg.FirstYear)
-	layout, err := capacity.New(capacity.Config{Geometry: geom, BPI: bpi, TPI: tpi, Zones: cfg.Zones})
+	layout, err := capacity.New(capacity.Config{Geometry: geom, BPI: bpi, TPI: tpi, Zones: RoadmapZones})
 	if err != nil {
 		return 0, fmt.Errorf("scaling: cooling budget: %w", err)
 	}

@@ -84,16 +84,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// retryAfterSeconds renders the Retry-After hint (at least 1s; the header
-// is integral seconds).
-func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
 // handleCreateJob is the submission path. Sync (default): the response is
 // the job's NDJSON result stream, written incrementally; the job id rides
 // in the X-Job-ID header so the body stays spec-deterministic. Async
@@ -132,7 +122,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	// survive a crash, so the submit record lands before the queue does.
 	if err := s.journalSubmit(j); err != nil {
 		s.rejectUnjournaled(j, err)
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		jsonError(w, http.StatusServiceUnavailable, "journal unavailable: "+err.Error())
 		return
 	}
@@ -145,11 +135,11 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		s.journalFinish(j)
 		switch {
 		case errors.Is(err, errDraining), errors.Is(err, errReplaying):
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
+			w.Header().Set("Retry-After", retryAfter)
 			jsonError(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
+			w.Header().Set("Retry-After", retryAfter)
 			jsonError(w, http.StatusTooManyRequests, err.Error())
 		}
 		return
@@ -254,7 +244,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	st := s.lifecycle()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if st != lifeReady {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "unavailable state=%s\n", st)
 		return

@@ -217,12 +217,12 @@ func (t *TournamentSpec) validate(cfg Config, async bool) error {
 		requests = 4000
 	}
 	work := int64(tc.Cells()) * int64(requests)
-	if work > cfg.MaxTournamentWork {
-		return fmt.Errorf("tournament of %d cell-requests exceeds the %d cap", work, cfg.MaxTournamentWork)
+	if work > maxTournamentWork {
+		return fmt.Errorf("tournament of %d cell-requests exceeds the %d cap", work, maxTournamentWork)
 	}
-	if !async && work > cfg.MaxSyncTournamentWork {
+	if !async && work > maxSyncTournamentWork {
 		return fmt.Errorf("tournament of %d cell-requests exceeds the synchronous cap of %d; submit with ?async=1 and poll the result",
-			work, cfg.MaxSyncTournamentWork)
+			work, maxSyncTournamentWork)
 	}
 	return nil
 }
@@ -340,12 +340,12 @@ func (sp *SurrogateSpec) validate(cfg Config, async bool) error {
 			probes = surrogate.DefaultProbes
 		}
 		work := int64(tc.LatencyCells()+folds*probes) * int64(requests)
-		if work > cfg.MaxSurrogateWork {
-			return fmt.Errorf("surrogate training of %d cell-requests exceeds the %d cap", work, cfg.MaxSurrogateWork)
+		if work > maxSurrogateWork {
+			return fmt.Errorf("surrogate training of %d cell-requests exceeds the %d cap", work, maxSurrogateWork)
 		}
-		if !async && work > cfg.MaxSyncSurrogateWork {
+		if !async && work > maxSyncSurrogateWork {
 			return fmt.Errorf("surrogate training of %d cell-requests exceeds the synchronous cap of %d; submit with ?async=1 and poll the result",
-				work, cfg.MaxSyncSurrogateWork)
+				work, maxSyncSurrogateWork)
 		}
 		return nil
 	case "query":
@@ -355,8 +355,8 @@ func (sp *SurrogateSpec) validate(cfg Config, async bool) error {
 		switch {
 		case len(sp.Queries) == 0:
 			return fmt.Errorf("surrogate query job has no queries")
-		case len(sp.Queries) > cfg.MaxSurrogateQueries:
-			return fmt.Errorf("%d queries exceeds the %d-query cap", len(sp.Queries), cfg.MaxSurrogateQueries)
+		case len(sp.Queries) > maxSurrogateQueries:
+			return fmt.Errorf("%d queries exceeds the %d-query cap", len(sp.Queries), maxSurrogateQueries)
 		case sp.MaxRelErr < 0 || sp.MaxRelErr > 10:
 			return fmt.Errorf("max_rel_err %g outside [0,10]", sp.MaxRelErr)
 		}

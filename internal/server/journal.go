@@ -76,7 +76,7 @@ func (s *Server) replayRecords(recs []journal.Record) {
 				spec:   spec,
 				key:    rec.Key,
 				status: StatusQueued,
-				buf:    newResultBuffer(s.cfg.MaxResultBytes),
+				buf:    newResultBuffer(maxResultBytes),
 			}
 			s.jobs[j.id] = j
 			s.order = append(s.order, j.id)

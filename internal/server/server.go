@@ -28,6 +28,31 @@ import (
 // maxJobWorkers caps a single job's internal fan-out.
 const maxJobWorkers = 32
 
+const (
+	// retryAfter is the Retry-After hint on 429/503, in the header's
+	// integral seconds.
+	retryAfter = "1"
+
+	// maxResultBytes caps one job's buffered result.
+	maxResultBytes = 16 << 20
+
+	// maxTournamentWork caps a tournament job's total simulated requests
+	// (cells × per-cell requests) regardless of submission path.
+	// maxSyncTournamentWork is the tighter synchronous bound; larger
+	// brackets must go through ?async=1.
+	maxTournamentWork     = 2000000
+	maxSyncTournamentWork = 100000
+
+	// maxSurrogateWork caps a surrogate training job's total simulated
+	// requests (grid cells plus cross-validation probes, times per-replay
+	// requests) regardless of submission path. maxSyncSurrogateWork is the
+	// tighter synchronous bound. maxSurrogateQueries caps one query job's
+	// batch size.
+	maxSurrogateWork     = 10000000
+	maxSyncSurrogateWork = 1000000
+	maxSurrogateQueries  = 4096
+)
+
 // Config sizes the service. Zero values take the defaults noted per field.
 type Config struct {
 	Addr string // listen address, default 127.0.0.1:8080; ":0" picks a port
@@ -37,11 +62,9 @@ type Config struct {
 
 	JobTimeout   time.Duration // per-job ceiling, default 2m
 	DrainTimeout time.Duration // graceful-drain budget on Shutdown, default 30s
-	RetryAfter   time.Duration // Retry-After hint on 429/503, default 1s
 
-	MaxRequests    int   // per-job trace-length cap, default 200000
-	MaxResultBytes int64 // per-job buffered result cap, default 16 MiB
-	MaxJobs        int   // retained job records before oldest-terminal eviction, default 256
+	MaxRequests int // per-job trace-length cap, default 200000
+	MaxJobs     int // retained job records before oldest-terminal eviction, default 256
 
 	// MaxFleetDrives caps a fleet job's total drive count regardless of
 	// submission path (default 1,000,000). MaxSyncFleetDrives is the
@@ -50,23 +73,6 @@ type Config struct {
 	// larger fleets must go through ?async=1.
 	MaxFleetDrives     int
 	MaxSyncFleetDrives int
-
-	// MaxTournamentWork caps a tournament job's total simulated requests
-	// (cells × per-cell requests) regardless of submission path (default
-	// 2,000,000). MaxSyncTournamentWork is the tighter synchronous bound
-	// (default 100,000); larger brackets must go through ?async=1.
-	MaxTournamentWork     int64
-	MaxSyncTournamentWork int64
-
-	// MaxSurrogateWork caps a surrogate training job's total simulated
-	// requests (grid cells plus cross-validation probes, times per-replay
-	// requests) regardless of submission path (default 10,000,000).
-	// MaxSyncSurrogateWork is the tighter synchronous bound (default
-	// 1,000,000). MaxSurrogateQueries caps one query job's batch size
-	// (default 4096).
-	MaxSurrogateWork     int64
-	MaxSyncSurrogateWork int64
-	MaxSurrogateQueries  int
 
 	// SurrogateModel preloads a trained surrogate model at boot (the
 	// daemon's -surrogate-model flag); nil starts without one, and every
@@ -108,14 +114,8 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxRequests <= 0 {
 		c.MaxRequests = 200000
-	}
-	if c.MaxResultBytes <= 0 {
-		c.MaxResultBytes = 16 << 20
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
@@ -125,21 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSyncFleetDrives <= 0 {
 		c.MaxSyncFleetDrives = 20000
-	}
-	if c.MaxTournamentWork <= 0 {
-		c.MaxTournamentWork = 2000000
-	}
-	if c.MaxSyncTournamentWork <= 0 {
-		c.MaxSyncTournamentWork = 100000
-	}
-	if c.MaxSurrogateWork <= 0 {
-		c.MaxSurrogateWork = 10000000
-	}
-	if c.MaxSyncSurrogateWork <= 0 {
-		c.MaxSyncSurrogateWork = 1000000
-	}
-	if c.MaxSurrogateQueries <= 0 {
-		c.MaxSurrogateQueries = 4096
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2000
@@ -494,7 +479,7 @@ func (s *Server) register(spec Spec, key string) (j *job, existing bool) {
 		key:     key,
 		created: time.Now(),
 		status:  StatusQueued,
-		buf:     newResultBuffer(s.cfg.MaxResultBytes),
+		buf:     newResultBuffer(maxResultBytes),
 		track:   s.jrnl != nil,
 	}
 	if len(s.order) >= s.cfg.MaxJobs {

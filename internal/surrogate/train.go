@@ -36,10 +36,9 @@ type TrainConfig struct {
 	Hardware  []Hardware
 	Workloads []string
 
-	// Exact-engine knobs (see ExactConfig; zero means default).
+	// Requests per exact replay (see ExactConfig; zero means default).
+	// Training always uses the default zone count and platter diameter.
 	Requests int
-	Zones    int
-	Diameter float64
 
 	// Refine enables quadratic interpolation along the RPM axis.
 	Refine bool
@@ -151,7 +150,7 @@ func Train(ctx context.Context, cfg TrainConfig, progress func(Cell) error) (*Mo
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	exact, err := NewExact(ExactConfig{Requests: cfg.Requests, Zones: cfg.Zones, Diameter: cfg.Diameter})
+	exact, err := NewExact(ExactConfig{Requests: cfg.Requests})
 	if err != nil {
 		return nil, err
 	}
