@@ -9,18 +9,6 @@ import (
 	"repro/internal/units"
 )
 
-// relErr returns |a-b|/b.
-func relErr(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	d := (a - b) / b
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
 // newDisk builds a simulator disk on a layout.
 func newDisk(layout *capacity.Layout, rpm units.RPM) (*disksim.Disk, error) {
 	return disksim.New(disksim.Config{Layout: layout, RPM: rpm})
