@@ -7,11 +7,13 @@
 //
 // Each benchmark's best (minimum) ns/op across -count repetitions is
 // compared, which filters scheduler noise the way benchstat's min column
-// does; allocs/op is exact and compared directly. Regressions beyond
-// -tolerance fail with a readable table; improvements are reported but
-// never fail. Baseline entries the run did not execute are listed as
-// skipped (CI shards run subsets), and trailing -N GOMAXPROCS suffixes are
-// stripped so the same baseline serves any host width.
+// does; an ns/op rise beyond -tolerance fails. The best allocs/op is gated
+// separately, at the fixed allocSlack whatever -tolerance says, and a
+// zero-alloc baseline allows no allocation at all. Failures print a
+// readable table; improvements are reported but never fail. Baseline
+// entries the run did not execute are listed as skipped (CI shards run
+// subsets), and trailing -N GOMAXPROCS suffixes are stripped so the same
+// baseline serves any host width.
 package main
 
 import (
@@ -37,6 +39,14 @@ type baseline struct {
 	} `json:"benchmarks"`
 }
 
+// allocSlack is the relative rise in allocs/op that fails the gate.
+// Allocation counts are near-exact, so it does not scale with -tolerance:
+// over three fresh runs of each CI bench command the worst best-of-count
+// reading sat 2.6% over its baseline (BenchmarkExactPointSolve, 80 against
+// 78), fleet's 0.2% (17,229 against 17,192), and a single
+// BenchmarkSimVolumeStream1M run has read 72 against 65 (+10.8%).
+const allocSlack = 0.15
+
 // measurement is the best observed run of one benchmark name.
 type measurement struct {
 	nsPerOp     float64
@@ -54,7 +64,9 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 func main() {
 	var baselines stringList
 	flag.Var(&baselines, "baseline", "baseline JSON file (repeatable)")
-	tolerance := flag.Float64("tolerance", 0.25, "maximum relative increase in ns/op and allocs/op before failing")
+	tolerance := flag.Float64("tolerance", 0.25, fmt.Sprintf(
+		"maximum relative increase in ns/op before failing (allocs/op always gates at %.0f%%, and exactly on a zero-alloc baseline)",
+		allocSlack*100))
 	flag.Parse()
 	if len(baselines) == 0 || flag.NArg() > 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff -baseline BENCH_x.json [-baseline ...] [bench-output.txt]")
@@ -194,7 +206,7 @@ func run(w io.Writer, in io.Reader, baselinePaths []string, tol float64) (bool, 
 					ad = 1 // zero-alloc baseline broken by any allocation
 				}
 				astatus := "ok"
-				if ad > tol {
+				if ad > allocSlack {
 					astatus, pass = "REGRESSED", false
 				}
 				fmt.Fprintf(w, "%-45s %12.0f a %12.0f a %+7.1f%%  %s\n",
@@ -206,7 +218,8 @@ func run(w io.Writer, in io.Reader, baselinePaths []string, tol float64) (bool, 
 		fmt.Fprintf(w, "%-45s %14s %14s %8s  skipped (not run)\n", name, "-", "-", "-")
 	}
 	if !pass {
-		fmt.Fprintf(w, "\nbenchdiff: regression beyond %.0f%% tolerance\n", tol*100)
+		fmt.Fprintf(w, "\nbenchdiff: regression beyond %.0f%% ns/op tolerance or %.0f%% allocs/op slack\n",
+			tol*100, allocSlack*100)
 	}
 	return pass, nil
 }
