@@ -327,7 +327,7 @@ func expPower(w io.Writer) error {
 			rpm, pm.Idle(rpm).Total(), pm.Active(rpm).Total(),
 			pm.Active(rpm).Windage, pm.Active(rpm).MotorLoss)
 	}
-	be := pm.BreakEvenIdle(15000, power.SpinDownPolicy{IdleTimeout: time.Minute})
+	be := pm.BreakEvenIdle(15000)
 	fmt.Fprintf(w, "  spin-down break-even idle time at 15k RPM: %v\n", be.Round(time.Second))
 	return nil
 }

@@ -193,8 +193,7 @@ func TestCompareRPMZero(t *testing.T) {
 
 func TestSpinDownBreakEven(t *testing.T) {
 	m := refModel(t)
-	p := SpinDownPolicy{IdleTimeout: time.Minute}
-	be := m.BreakEvenIdle(15000, p)
+	be := m.BreakEvenIdle(15000)
 	// Server-class spin-up (2x idle power for 10 s) breaks even after ~20 s
 	// of spun-down time.
 	if be < 10*time.Second || be > time.Minute {

@@ -99,9 +99,8 @@ func (m *Model) EvaluateSpinDown(rpm units.RPM, comps []disksim.Completion, p Sp
 }
 
 // BreakEvenIdle returns the minimum idle gap for which spinning down saves
-// energy at all — the textbook break-even threshold. It does not depend on
-// the policy's idle timeout.
-func (m *Model) BreakEvenIdle(rpm units.RPM, p SpinDownPolicy) time.Duration {
+// energy at all — the textbook break-even threshold.
+func (m *Model) BreakEvenIdle(rpm units.RPM) time.Duration {
 	idleP := m.Idle(rpm).Total()
 	spinUpE := spinUpEnergy(idleP)
 	rate := float64(idleP - StandbyPower) // W saved per second down
